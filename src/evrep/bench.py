@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .encoders import event_count_image, event_volume, surface_active_events
 from .errors import InvalidParamError
-from .model import EncoderParams, EventStream, WindowView
+from .model import EncoderParams, EventStream, WindowView, detection_grid
 from .taf import taf_init, taf_render, taf_step
 
 REPRESENTATIONS = ("taf", "volume", "count", "sae")
@@ -72,12 +72,6 @@ class BenchReport:
         return header + rows
 
 
-def _detection_grid(stream: EventStream, delta_tau_us: int, n_steps: int | None) -> list[int]:
-    if n_steps is None:
-        n_steps = math.ceil(stream.geometry.t_max_us / delta_tau_us)
-    return [(n + 1) * delta_tau_us for n in range(n_steps)]
-
-
 def bench_encoder(
     stream: EventStream,
     representation: str,
@@ -96,11 +90,11 @@ def bench_encoder(
         raise InvalidParamError(f"unknown representation {representation!r}")
     if warmup < 0:
         raise InvalidParamError("warmup must be non-negative")
-    planned = len(at_times) if at_times is not None else len(
-        _detection_grid(stream, params.delta_tau_us, n_steps)
-    )
-    if planned <= warmup:
-        raise InvalidParamError(f"{planned} steps leave no samples after {warmup} warm-up steps")
+    times = at_times
+    if times is None:
+        times = detection_grid(stream.geometry.t_max_us, params.delta_tau_us, n_steps)
+    if len(times) <= warmup:
+        raise InvalidParamError(f"{len(times)} steps leave no samples after {warmup} warm-up steps")
 
     report = BenchReport(
         representation=representation,
@@ -115,7 +109,7 @@ def bench_encoder(
         dt = params.delta_tau_us
         t_max = stream.geometry.t_max_us
         state = taf_init(stream.geometry, params.queue_depth, dt)
-        for step, t_n in enumerate(_detection_grid(stream, dt, n_steps)):
+        for step, t_n in enumerate(times):
             window = WindowView.from_stream(stream, t_n - dt, t_n, t_n)
             t0 = clock()
             taf_step(state, window)
@@ -126,7 +120,6 @@ def bench_encoder(
                 report.events_processed += len(window)
         return report
 
-    times = at_times if at_times is not None else _detection_grid(stream, params.delta_tau_us, n_steps)
     for step, t_n in enumerate(times):
         t0 = clock()
         if representation == "volume":

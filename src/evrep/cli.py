@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -28,7 +27,7 @@ from .io import (
     read_tensor,
     write_tensor,
 )
-from .model import EncoderParams, EventStream, FrameGeometry
+from .model import EncoderParams, EventStream, FrameGeometry, detection_grid
 from .motion import bbofd, flow_intensity, motion_levels, sanitize_report
 from .taf import taf_sequence
 
@@ -74,6 +73,15 @@ def _load_config(args: argparse.Namespace) -> None:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise EvrepError("--config must hold a JSON object")
+    # a config value passes through the type its flag would give it
+    for key, to_type in args.flag_types.items():
+        if key in config:
+            try:
+                config[key] = to_type(config[key])
+            except (TypeError, ValueError):
+                raise _UsageError(
+                    f"--config: {key} must be {to_type.__name__}, got {config[key]!r}"
+                ) from None
     args._config = config
 
 
@@ -91,30 +99,24 @@ def _encoder_params(args: argparse.Namespace) -> EncoderParams:
     )
 
 
-def _detection_times(stream: EventStream, delta_tau_us: int) -> list[int]:
-    n = math.ceil(stream.geometry.t_max_us / delta_tau_us)
-    return [(i + 1) * delta_tau_us for i in range(n)]
-
-
 def _encode_one(path: str, args: argparse.Namespace, params: EncoderParams, out_dir: Path) -> int:
     stream = _load_stream(path)
     stem = Path(path).stem
     written = 0
+    if args.at_annotations:
+        annotations = read_annotations_csv(Path(args.at_annotations).read_text())
+        times = sorted({a.t for a in annotations})
+    else:
+        times = detection_grid(stream.geometry.t_max_us, params.delta_tau_us)
 
     if args.rep == "taf":
-        n_steps = math.ceil(stream.geometry.t_max_us / params.delta_tau_us)
         for t_n, tensor in taf_sequence(
-            stream, params.queue_depth, params.delta_tau_us, n_steps
+            stream, params.queue_depth, params.delta_tau_us, len(times)
         ):
             write_tensor(tensor, out_dir / f"{stem}_{t_n}.evtn")
             written += 1
         return written
 
-    if args.at_annotations:
-        annotations = read_annotations_csv(Path(args.at_annotations).read_text())
-        times = sorted({a.t for a in annotations})
-    else:
-        times = _detection_times(stream, params.delta_tau_us)
     for t_n in times:
         if args.rep == "volume":
             tensor = event_volume(stream, t_n, params.delta_tau_us, params.bins, kernel=args.kernel)
@@ -177,31 +179,31 @@ def _format_value(v: float) -> str:
 
 def _cmd_levels(args: argparse.Namespace) -> int:
     annotations = read_annotations_csv(Path(args.annotations).read_text())
-    flows = {}
-    for path in sorted(Path(args.flows).glob("*.flow")):
-        flow = read_flow(path)
-        flows[flow.t] = flow
-    if not flows:
+    paths = sorted(Path(args.flows).glob("*.flow"))
+    if not paths:
         raise EvrepError(f"no .flow files under {args.flows}")
-    geometry_flow = next(iter(flows.values()))
-    geometry = FrameGeometry(
-        geometry_flow.width,
-        geometry_flow.height,
-        max(max((a.t for a in annotations), default=0), max(flows)) + 1,
-    )
-    report = sanitize_report(annotations, geometry)
+    # one flow field is held at a time; the first file sets the frame size,
+    # the only part of the geometry that sanitization reads
+    flows = map(read_flow, paths)
+    flow = next(flows)
+    t_hi = max(max((a.t for a in annotations), default=0), flow.t) + 1
+    report = sanitize_report(annotations, FrameGeometry(flow.width, flow.height, t_hi))
 
-    intensities: dict[int, object] = {}
-    rows = []
-    values = []
-    for box, index in zip(report.kept, report.kept_indices):
-        if box.t not in flows:
+    kept_by_t: dict[int, list[int]] = {}
+    for pos, box in enumerate(report.kept):
+        kept_by_t.setdefault(box.t, []).append(pos)
+    values: list[float | None] = [None] * len(report.kept)
+    while flow is not None:
+        if flow.t in kept_by_t:
+            # a later file with the same timestamp overwrites an earlier one
+            intensity = flow_intensity(flow)
+            for pos in kept_by_t[flow.t]:
+                values[pos] = bbofd(intensity, report.kept[pos])
+        flow = next(flows, None)
+    for box, value in zip(report.kept, values):
+        if value is None:
             raise EvrepError(f"no flow field at timestamp {box.t}")
-        if box.t not in intensities:
-            intensities[box.t] = flow_intensity(flows[box.t])
-        value = bbofd(intensities[box.t], box)
-        values.append(value)
-        rows.append((box.t, index, value))
+    rows = list(zip((box.t for box in report.kept), report.kept_indices, values))
 
     if not values:
         raise EvrepError("no annotations survived sanitization")
@@ -367,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file supplying flag defaults")
     p.set_defaults(func=_cmd_augment)
 
+    for p in sub.choices.values():
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
     return parser
 
 

@@ -15,13 +15,19 @@ time. A detection that fails to match the level's ground truth but overlaps
 (same class, IoU at threshold) a box of another level, or a box removed by
 sanitization, is excluded from that level's false positives; detections
 matching nothing anywhere count as false positives at every level.
+
+Frames do not compete for detections: under a nonzero tolerance one detection
+timestamp may be the nearest for several annotation frames, and each of its
+predictions is then matched in each of them and can be a true positive in each.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyInputError, InvalidParamError, MissingLevelError
 from .model import Annotation, Detection
@@ -29,6 +35,7 @@ from .motion import MotionLevels
 
 DEFAULT_IOU_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
 _RECALL_POINTS = 101
+_RECALL_GRID = np.arange(_RECALL_POINTS) / (_RECALL_POINTS - 1)
 
 
 @dataclass(frozen=True)
@@ -111,100 +118,126 @@ def match_timestamps(
     return out
 
 
-@dataclass
-class _Frame:
-    """One evaluation frame: ground truth, candidate detections, and boxes a
-    failed detection may be excused against (per-level mode only)."""
-
-    t: int
-    gts: list[Annotation] = field(default_factory=list)
-    gt_levels: list[int] = field(default_factory=list)
-    dets: list[Detection] = field(default_factory=list)
-    excluded_gts: list[Annotation] = field(default_factory=list)
-
-
 def _build_frames(
     detections: Sequence[Detection],
-    annotations: Sequence[Annotation],
+    boxes: Sequence[Annotation],
+    n_annotations: int,
     tolerance_us: int,
-    levels: Sequence[int] | None = None,
-) -> list[_Frame]:
-    ann_by_t: dict[int, _Frame] = {}
-    for i, a in enumerate(annotations):
-        frame = ann_by_t.setdefault(a.t, _Frame(t=a.t))
-        frame.gts.append(a)
-        if levels is not None:
-            frame.gt_levels.append(levels[i])
+) -> list[tuple[list[int], list[Detection]]]:
+    """(columns, detections) per annotation time, in time order; a frame's columns
+    index every box at its time, but only ``boxes[:n_annotations]`` make frames."""
+    cols_by_t: dict[int, list[int]] = {}
+    for i, b in enumerate(boxes):
+        cols_by_t.setdefault(b.t, []).append(i)
     det_by_t: dict[int, list[Detection]] = {}
     for d in detections:
         det_by_t.setdefault(d.t, []).append(d)
-
-    ann_times = sorted(ann_by_t)
+    ann_times = sorted({b.t for b in boxes[:n_annotations]})
     mapping = match_timestamps(ann_times, sorted(det_by_t), tolerance_us)
-    for t in ann_times:
-        matched = mapping[t]
-        if matched is not None:
-            ann_by_t[t].dets = det_by_t.get(matched, [])
-    return [ann_by_t[t] for t in ann_times]
+    return [(cols_by_t[t], det_by_t.get(mapping[t], [])) for t in ann_times]
 
 
-def _ap_from_frames(frames: Sequence[_Frame], class_id: int, iou_threshold: float) -> float:
-    gt_count = sum(1 for f in frames for g in f.gts if g.class_id == class_id)
-    if gt_count == 0:
-        return 0.0
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every (x, y, w, h) row of a against every row of b, computed
+    with the same operations, in the same order, as ``iou``."""
+    ax, ay, aw, ah = (c[:, None] for c in a.T)
+    bx, by, bw, bh = b.T
+    ix = np.maximum(ax, bx)
+    iy = np.maximum(ay, by)
+    iw = np.minimum(ax + aw, bx + bw) - ix
+    ih = np.minimum(ay + ah, by + bh) - iy
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=(iw > 0) & (ih > 0))
 
-    ranked = [
-        (d, fi)
-        for fi, f in enumerate(frames)
-        for d in f.dets
-        if d.class_id == class_id
-    ]
-    ranked.sort(key=lambda item: -item[0].score)
 
-    taken: dict[int, set[int]] = {}
-    tp_flags: list[bool] = []
-    for det, fi in ranked:
-        frame = frames[fi]
-        used = taken.setdefault(fi, set())
-        best_iou = 0.0
-        best_gi = -1
-        for gi, gt in enumerate(frame.gts):
-            if gt.class_id != class_id or gi in used:
-                continue
-            v = iou(det, gt)
-            if v > best_iou:
-                best_iou = v
-                best_gi = gi
-        if best_gi >= 0 and best_iou >= iou_threshold:
-            used.add(best_gi)
-            tp_flags.append(True)
-            continue
-        if any(
-            g.class_id == class_id and iou(det, g) >= iou_threshold
-            for g in frame.excluded_gts
-        ):
-            continue  # excused: overlaps a box outside this evaluation's GT
-        tp_flags.append(False)
+def _match_frame(dets, det_cls, boxes, box_cls, keep, thr):
+    """Greedy match of one frame's detections for every evaluation and threshold.
 
-    # 101-point interpolated AP over the precision envelope
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp = fp = 0
-    for flag in tp_flags:
-        tp += flag
-        fp += not flag
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / gt_count)
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
+    In stable descending-score order each detection takes the unused kept
+    same-class box of highest IoU (the first on ties) if that IoU reaches the
+    threshold; ``used[E, T, G]`` advances every evaluation and threshold at
+    once. A detection left unmatched is excused where it hits a same-class
+    box the evaluation does not keep; a TP or unexcused FP is counted. Returns
+    (tp, counted) as (detections, evaluations, thresholds).
+    """
+    m = _iou_matrix(dets[:, :4], boxes)
+    same = det_cls[:, None] == box_cls
+    hit = same[:, None, :] & (m[:, None, :] >= thr[:, None])
+    excused = (~keep[None, :, None, :] & hit[:, None]).any(-1)
+    cand = np.where(keep[None] & same[:, None], m[:, None], -1.0)[:, :, None]
+    used = np.zeros((len(keep), thr.size, len(box_cls)), dtype=bool)
+    tp = np.zeros(excused.shape, dtype=bool)
+    columns = np.arange(len(box_cls))
+    for i in np.argsort(-dets[:, 4], kind="stable"):
+        vals = np.where(used, -1.0, cand[i])
+        tp[i] = ok = vals.max(-1) >= thr
+        used |= ok[..., None] & (vals.argmax(-1)[..., None] == columns)
+    return tp, tp | ~excused
 
-    total = 0.0
-    for i in range(_RECALL_POINTS):
-        r = i / (_RECALL_POINTS - 1)
-        j = bisect.bisect_left(recalls, r)
-        if j < len(precisions):
-            total += precisions[j]
-    return total / _RECALL_POINTS
+
+def _ap(flags: np.ndarray, gt_count: int) -> float:
+    """101-point interpolated AP of rank-ordered TP flags: the precision
+    envelope at the first rank reaching each recall point, summed in order."""
+    tp = np.cumsum(flags)
+    precision = np.append(tp / np.arange(1, tp.size + 1), 0.0)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    picked = envelope[np.searchsorted(tp / gt_count, _RECALL_GRID, side="left")]
+    return float(np.add.accumulate(picked)[-1]) / _RECALL_POINTS
+
+
+def _ap_tables(
+    detections: Sequence[Detection],
+    annotations: Sequence[Annotation],
+    thresholds: Sequence[float],
+    tolerance_us: int,
+    removed: Sequence[Annotation] = (),
+    keep: np.ndarray | None = None,
+) -> list[dict[int, list[float]]]:
+    """Per evaluation, {class: AP per threshold} over the classes of its GT.
+
+    Columns are ``annotations`` then ``removed``; ``keep[e]`` marks evaluation
+    e's ground truth among them, and the other columns excuse. By default
+    there is one evaluation, which keeps every annotation.
+    """
+    boxes = [*annotations, *removed]
+    keep = np.ones((1, len(boxes)), dtype=bool) if keep is None else keep
+    box_xywh = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    box_cls = np.array([b.class_id for b in boxes], dtype=np.int64)
+    thr = np.asarray(thresholds, dtype=np.float64)
+    frames = _build_frames(detections, boxes, len(annotations), tolerance_us)
+    rows = [d for _, dets in frames for d in dets]
+    det = np.array([(d.x, d.y, d.w, d.h, d.score) for d in rows], dtype=np.float64).reshape(-1, 5)
+    det_cls = np.array([d.class_id for d in rows], dtype=np.int64)
+
+    tp = np.zeros((len(rows), len(keep), thr.size), dtype=bool)
+    counted = np.zeros_like(tp)
+    bounds = np.cumsum([0] + [len(dets) for _, dets in frames])
+    for (cols, _), a, b in zip(frames, bounds, bounds[1:]):
+        tp[a:b], counted[a:b] = _match_frame(
+            det[a:b], det_cls[a:b], box_xywh[cols], box_cls[cols], keep[:, cols], thr
+        )
+
+    rank = np.argsort(-det[:, 4], kind="stable")
+    tables = []
+    for e in range(len(keep)):
+        table = {}
+        for c in sorted(set(box_cls[keep[e]].tolist())):
+            order = rank[det_cls[rank] == c]
+            n_gt = int(np.count_nonzero(keep[e] & (box_cls == c)))
+            table[c] = [_ap(tp[order, e, k][counted[order, e, k]], n_gt) for k in range(thr.size)]
+        tables.append(table)
+    return tables
+
+
+def _mean_ap(table: dict[int, list[float]], thresholds: Sequence[float]):
+    classes = list(table)
+    per_class = {c: sum(table[c]) / len(thresholds) for c in classes}
+    per_threshold = {
+        thr: sum(table[c][k] for c in classes) / len(classes) for k, thr in enumerate(thresholds)
+    }
+    overall = sum(per_class.values()) / len(classes)
+    return overall, per_class, per_threshold
 
 
 def average_precision(
@@ -215,21 +248,8 @@ def average_precision(
     tolerance_us: int = 0,
 ) -> float:
     """AP of one class at one IoU threshold (0.0 when the class has no GT)."""
-    frames = _build_frames(detections, annotations, tolerance_us)
-    return _ap_from_frames(frames, class_id, iou_threshold)
-
-
-def _mean_ap(frames: Sequence[_Frame], classes: Sequence[int], cfg: EvalConfig):
-    ap = {
-        c: {thr: _ap_from_frames(frames, c, thr) for thr in cfg.iou_thresholds}
-        for c in classes
-    }
-    per_class = {c: sum(ap[c].values()) / len(cfg.iou_thresholds) for c in classes}
-    per_threshold = {
-        thr: sum(ap[c][thr] for c in classes) / len(classes) for thr in cfg.iou_thresholds
-    }
-    overall = sum(per_class.values()) / len(classes)
-    return overall, per_class, per_threshold
+    (table,) = _ap_tables(detections, annotations, (iou_threshold,), tolerance_us)
+    return table.get(class_id, [0.0])[0]
 
 
 def map_metric(
@@ -242,15 +262,13 @@ def map_metric(
     A ground truth with no classes (empty annotation list) yields 0 with a
     warning instead of an error so batch jobs complete.
     """
-    classes = sorted({a.class_id for a in annotations})
-    if not classes:
+    if not annotations:
         return EvalResult(
             0.0, {}, {thr: 0.0 for thr in cfg.iou_thresholds},
             warning="no ground truth classes; mAP defined as 0",
         )
-    frames = _build_frames(detections, annotations, cfg.timestamp_tolerance_us)
-    overall, per_class, per_threshold = _mean_ap(frames, classes, cfg)
-    return EvalResult(overall, per_class, per_threshold)
+    (table,) = _ap_tables(detections, annotations, cfg.iou_thresholds, cfg.timestamp_tolerance_us)
+    return EvalResult(*_mean_ap(table, cfg.iou_thresholds))
 
 
 def map_by_level(
@@ -277,32 +295,14 @@ def map_by_level(
 
     overall = map_metric(detections, annotations, cfg)
 
-    removed_by_t: dict[int, list[Annotation]] = {}
-    for b in removed_boxes:
-        removed_by_t.setdefault(b.t, []).append(b)
-
-    per_level: dict[int, float | None] = {}
-    all_frames = _build_frames(
-        detections, annotations, cfg.timestamp_tolerance_us, levels=level_seq
+    # removed boxes belong to no level, so every level excuses them
+    keep = np.array([*level_seq, *(0 for _ in removed_boxes)]) == np.arange(1, 6)[:, None]
+    tables = _ap_tables(
+        detections, annotations, cfg.iou_thresholds, cfg.timestamp_tolerance_us,
+        removed_boxes, keep,
     )
-    for lv in range(1, 6):
-        frames = []
-        classes = set()
-        for f in all_frames:
-            gts = [g for g, l in zip(f.gts, f.gt_levels) if l == lv]
-            others = [g for g, l in zip(f.gts, f.gt_levels) if l != lv]
-            frames.append(
-                _Frame(
-                    t=f.t,
-                    gts=gts,
-                    dets=f.dets,
-                    excluded_gts=others + removed_by_t.get(f.t, []),
-                )
-            )
-            classes.update(g.class_id for g in gts)
-        if not classes:
-            per_level[lv] = None
-            continue
-        lv_map, _, _ = _mean_ap(frames, sorted(classes), cfg)
-        per_level[lv] = lv_map
+    per_level = {
+        lv: _mean_ap(table, cfg.iou_thresholds)[0] if table else None
+        for lv, table in enumerate(tables, start=1)
+    }
     return LevelEvalResult(per_level, overall)

@@ -260,6 +260,18 @@ class EncoderParams:
         return self.delta_tau_us if self.kernel_support_us is None else self.kernel_support_us
 
 
+def detection_grid(t_max_us: int, delta_tau_us: int, n_steps: int | None = None) -> list[int]:
+    """Detection times delta_tau_us, 2 * delta_tau_us, ...: n_steps of them, by
+    default every one within t_max_us.
+
+    A partial last window is dropped, not clipped: TAF periods are aligned to
+    delta_tau_us, so a step at t_max_us would need a partial period.
+    """
+    if n_steps is None:
+        n_steps = t_max_us // delta_tau_us
+    return [(n + 1) * delta_tau_us for n in range(n_steps)]
+
+
 def validate_stream(stream: EventStream) -> list[StreamViolation]:
     """Check every stream invariant; return one entry per violation.
 

@@ -134,6 +134,31 @@ class TestEncode:
         assert code == 0
         assert len(list(out.glob("*.evtn"))) == 2
 
+    @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
+    def test_off_grid_end_drops_partial_window(self, rep, rng, tmp_path):
+        geo = FrameGeometry(16, 12, 25_000)
+        path = tmp_path / "events.evs"
+        path.write_bytes(write_events_binary(make_random_stream(rng, geo, 1_000)))
+        out = tmp_path / "out"
+        code = _run(
+            "encode", "--rep", rep, "--events", str(path), "--out-dir", str(out),
+            "--delta-tau-us", "10000",
+        )
+        assert code == 0
+        assert sorted(f.name for f in out.iterdir()) == ["events_10000.evtn", "events_20000.evtn"]
+
+    def test_config_value_of_wrong_type_is_usage_error(self, one_second_stream, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"jobs": "many"}))
+        code = _run(
+            "encode", "--rep", "count", "--events", str(one_second_stream),
+            "--out-dir", str(tmp_path / "out"), "--config", str(config),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evrep: error: ") and "jobs" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestBench:
     def test_report_well_formed(self, one_second_stream, tmp_path, capsys):
@@ -203,6 +228,24 @@ class TestLevels:
         ann.write_text(write_annotations_csv(boxes))
         code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann), "--out", str(tmp_path / "o.csv"))
         assert code == 2
+
+    def test_missing_flow_names_first_kept_box(self, tmp_path, capsys):
+        flow_dir, ann = self._write_inputs(tmp_path)
+        boxes = [Annotation(1000, 1, 1, 5, 5, 0), Annotation(999, 1, 1, 5, 5, 0),
+                 Annotation(998, 1, 1, 5, 5, 0)]
+        ann.write_text(write_annotations_csv(boxes))
+        code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: no flow field at timestamp 999\n"
+
+    def test_duplicate_timestamp_later_file_wins(self, tmp_path):
+        flow_dir, ann = self._write_inputs(tmp_path, intensity=2.0)
+        u = np.full((24, 32), 7.0, dtype=np.float32)
+        write_flow(FlowField.from_planes(1000, u, np.zeros_like(u)), flow_dir / "t1000b.flow")
+        out = tmp_path / "levels.csv"
+        code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann), "--out", str(out))
+        assert code == 0
+        assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["7.0"] * 3
 
 
 class TestEval:

@@ -124,6 +124,14 @@ class TestMapMetric:
         matched = map_metric(dets, anns, EvalConfig(timestamp_tolerance_us=5_000))
         assert matched.overall_map == 1.0
 
+    def test_one_detection_serves_every_frame_within_tolerance(self):
+        # both annotation frames map to the one detection time 500 us away,
+        # and the single prediction is a true positive in each
+        anns = [_ann(0, 0, 0, 10, 10), _ann(1000, 0, 0, 10, 10)]
+        dets = [_det(500, 0, 0, 10, 10)]
+        result = map_metric(dets, anns, EvalConfig(timestamp_tolerance_us=500))
+        assert result.overall_map == 1.0
+
     def test_threshold_monotonicity_random(self, rng):
         cfg = EvalConfig()
         for _ in range(10):
