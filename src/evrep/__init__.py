@@ -3,7 +3,7 @@ to compare representations: augmentation, motion-level stratification, and
 COCO-style mAP with timestamp-tolerance matching."""
 
 from .augment import AugmentConfig, augment, flip_h, resize_crop
-from .bench import BenchReport, bench_encoder
+from .bench import BenchReport
 from .bfm import BfmWeights, FoldStage, bfm_forward, load_weights, random_weights, save_weights
 from .encoders import event_count_image, event_volume, surface_active_events
 from .evalmap import (
@@ -20,14 +20,11 @@ from .model import (
     Annotation,
     Detection,
     EncoderParams,
-    Event,
     EventStream,
     FlowField,
     FrameGeometry,
-    StreamViolation,
     TensorCHW,
     WindowView,
-    validate_stream,
 )
 from .motion import (
     MotionLevels,
@@ -39,7 +36,6 @@ from .motion import (
     sanitize_report,
 )
 from .taf import (
-    KernelSpec,
     TafState,
     taf_batch_oracle,
     taf_init,

@@ -1,9 +1,10 @@
 """Command-line front end: encode | bench | levels | eval | augment.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Flags are the single
-configuration surface; ``--config FILE`` may supply the same keys as a JSON
-object (key = long flag name with underscores) and explicit flags override
-it. All randomness is seeded via ``--seed``.
+Exit codes: 0 success, 1 usage error (a flag value outside its domain is
+one), 2 data error. Flags are the single configuration surface; ``--config
+FILE`` may supply the same keys as a JSON object (key = long flag name with
+underscores) and explicit flags override it. All randomness is seeded via
+``--seed``.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Iterator
 
 from .augment import AugmentConfig, augment
-from .bench import REPRESENTATIONS, bench_encoder
+from .bench import BenchReport
 from .encoders import event_count_image, event_volume, surface_active_events
-from .errors import EvrepError, MissingLevelError, ParseError
+from .errors import EvrepError, InvalidParamError, MissingLevelError, ParseError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
     read_annotations_csv,
@@ -27,7 +30,7 @@ from .io import (
     read_tensor,
     write_tensor,
 )
-from .model import EncoderParams, EventStream, FrameGeometry, detection_grid
+from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, detection_grid
 from .motion import bbofd, flow_intensity, motion_levels, sanitize_report
 from .taf import taf_sequence
 
@@ -44,6 +47,14 @@ _DEFAULTS = {
     "p2": 0.5,
     "alpha": 1.5,
     "seed": 0,
+}
+
+# the EncoderParams fields each representation reads, in bench's report order
+_REP_PARAMS = {
+    "taf": ("queue_depth", "delta_tau_us"),
+    "volume": ("bins", "delta_tau_us"),
+    "count": ("recent_events",),
+    "sae": ("sae_decay_per_us",),
 }
 
 
@@ -89,8 +100,22 @@ def _load_stream(path: str) -> EventStream:
     return read_events_binary(Path(path).read_bytes())
 
 
+def _config(build, **values):
+    """build(**values) from flag values: a value outside its domain is a usage
+    error, while the same InvalidParamError raised by input data stays a data
+    error."""
+    try:
+        return build(**values)
+    except InvalidParamError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _encoder_params(args: argparse.Namespace) -> EncoderParams:
-    return EncoderParams(
+    """The encoder flags shared by encode and bench, checked."""
+    if args.rep == "taf" and args.at_annotations:
+        raise _UsageError("taf is periodic; --at-annotations does not apply")
+    return _config(
+        EncoderParams,
         delta_tau_us=int(_resolve(args, "delta_tau_us")),
         bins=int(_resolve(args, "bins")),
         recent_events=int(_resolve(args, "recent_events")),
@@ -99,43 +124,66 @@ def _encoder_params(args: argparse.Namespace) -> EncoderParams:
     )
 
 
+def _detection_times(
+    args: argparse.Namespace, stream: EventStream, params: EncoderParams
+) -> list[int]:
+    """The timestamps of --at-annotations if given, else the periodic grid."""
+    if args.at_annotations:
+        annotations = read_annotations_csv(Path(args.at_annotations).read_text())
+        return sorted({a.t for a in annotations})
+    return detection_grid(stream.geometry.t_max_us, params.delta_tau_us)
+
+
+def _tensors(
+    stream: EventStream, rep: str, params: EncoderParams, times: list[int], kernel: str
+) -> Iterator[tuple[int, TensorCHW]]:
+    """The one loop from a stream to (t_n, tensor) pairs, one per detection time.
+
+    TAF steps incrementally over the periodic grid, so for it ``times`` must
+    be the grid's first len(times) entries. The baselines are looked up in
+    this module at each call, where evbench/traced_cli.py wraps them.
+    """
+    if rep == "taf":
+        yield from taf_sequence(stream, params.queue_depth, params.delta_tau_us, len(times))
+        return
+    for t_n in times:
+        if rep == "volume":
+            tensor = event_volume(stream, t_n, params.delta_tau_us, params.bins, kernel=kernel)
+        elif rep == "count":
+            tensor = event_count_image(stream, t_n, params.recent_events)
+        else:
+            tensor = surface_active_events(stream, t_n, params.sae_decay_per_us)
+        yield t_n, tensor
+
+
+def _events_read(stream: EventStream, rep: str, params: EncoderParams, t_n: int) -> int:
+    """Events the encoder reads for its tensor at t_n."""
+    if rep == "taf":
+        t_lo = t_n - params.delta_tau_us
+    elif rep == "volume":
+        t_lo = t_n - params.bins * params.delta_tau_us
+    else:
+        t_lo = 0
+    i, j = stream.slice_range(t_lo, t_n)
+    return min(params.recent_events, j - i) if rep == "count" else j - i
+
+
 def _encode_one(path: str, args: argparse.Namespace, params: EncoderParams, out_dir: Path) -> int:
     stream = _load_stream(path)
     stem = Path(path).stem
     written = 0
-    if args.at_annotations:
-        annotations = read_annotations_csv(Path(args.at_annotations).read_text())
-        times = sorted({a.t for a in annotations})
-    else:
-        times = detection_grid(stream.geometry.t_max_us, params.delta_tau_us)
-
-    if args.rep == "taf":
-        for t_n, tensor in taf_sequence(
-            stream, params.queue_depth, params.delta_tau_us, len(times)
-        ):
-            write_tensor(tensor, out_dir / f"{stem}_{t_n}.evtn")
-            written += 1
-        return written
-
-    for t_n in times:
-        if args.rep == "volume":
-            tensor = event_volume(stream, t_n, params.delta_tau_us, params.bins, kernel=args.kernel)
-        elif args.rep == "count":
-            tensor = event_count_image(stream, t_n, params.recent_events)
-        else:
-            tensor = surface_active_events(stream, t_n, params.sae_decay_per_us)
+    times = _detection_times(args, stream, params)
+    for t_n, tensor in _tensors(stream, args.rep, params, times, args.kernel):
         write_tensor(tensor, out_dir / f"{stem}_{t_n}.evtn")
         written += 1
     return written
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    if args.rep == "taf" and args.at_annotations:
-        raise _UsageError("taf is periodic; --at-annotations does not apply")
+    params = _encoder_params(args)
     stems = [Path(p).stem for p in args.events]
     if len(set(stems)) != len(stems):
         raise _UsageError("input files must have distinct stems (outputs would collide)")
-    params = _encoder_params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = int(_resolve(args, "jobs"))
@@ -153,20 +201,34 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    """Time each step of the encode loop on a stream held in memory; write no tensors."""
     params = _encoder_params(args)
     stream = _load_stream(args.events)
-    at_times = None
-    if args.at_annotations:
-        annotations = read_annotations_csv(Path(args.at_annotations).read_text())
-        at_times = sorted({a.t for a in annotations})
-    report = bench_encoder(
-        stream,
-        args.rep,
-        params,
-        n_steps=args.steps,
-        warmup=int(_resolve(args, "warmup")),
-        at_times=at_times,
+    times = _detection_times(args, stream, params)
+    warmup = int(_resolve(args, "warmup"))
+    if warmup < 0:
+        raise _UsageError("--warmup must be non-negative")
+    if args.steps is not None:
+        if not 0 < args.steps <= len(times):
+            raise _UsageError(f"--steps must lie in [1, {len(times)}], one per detection time")
+        times = times[: args.steps]
+    if len(times) <= warmup:
+        raise _UsageError(f"{len(times)} steps leave no samples after {warmup} warm-up steps")
+
+    report = BenchReport(
+        representation=args.rep,
+        params={name: getattr(params, name) for name in _REP_PARAMS[args.rep]},
+        warmup=warmup,
     )
+    tensors = _tensors(stream, args.rep, params, times, args.kernel)
+    clock = time.perf_counter
+    for step, t_n in enumerate(times):
+        start = clock()
+        next(tensors)
+        elapsed = (clock() - start) * 1e6
+        if step >= warmup:
+            report.samples_us.append(elapsed)
+            report.events_processed += _events_read(stream, args.rep, params, t_n)
     print(report.to_text())
     if args.csv:
         Path(args.csv).write_text(report.to_csv())
@@ -241,7 +303,7 @@ def _read_levels_csv(path: str) -> dict[tuple[int, int], int]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     detections = read_detections_csv(Path(args.detections).read_text())
     annotations = read_annotations_csv(Path(args.annotations).read_text())
-    cfg = EvalConfig(timestamp_tolerance_us=int(_resolve(args, "tolerance_us")))
+    cfg = _config(EvalConfig, timestamp_tolerance_us=int(_resolve(args, "tolerance_us")))
 
     lines: list[str] = []
     csv_rows: list[str] = ["section,key,value"]
@@ -289,7 +351,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_augment(args: argparse.Namespace) -> int:
     tensor = read_tensor(args.input)
-    cfg = AugmentConfig(
+    cfg = _config(
+        AugmentConfig,
         flip_prob=float(_resolve(args, "p1")),
         crop_prob=float(_resolve(args, "p2")),
         scale=float(_resolve(args, "alpha")),
@@ -305,7 +368,8 @@ class _UsageError(Exception):
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rep", required=True, choices=REPRESENTATIONS, help="representation to build")
+    p.add_argument("--rep", required=True, choices=tuple(_REP_PARAMS),
+                   help="representation to build")
     p.add_argument("--delta-tau-us", type=int, dest="delta_tau_us", help="sampling period in µs")
     p.add_argument("--bins", "--b", type=int, dest="bins", help="temporal bins for --rep volume")
     p.add_argument("--queue-depth", "--k", type=int, dest="queue_depth",
@@ -334,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time a representation, no tensor output")
     _add_encoder_flags(p)
     p.add_argument("--events", required=True, help="binary event stream file")
-    p.add_argument("--steps", type=int, help="detection steps (default: full stream)")
+    p.add_argument("--steps", type=int,
+                   help="time the first N detection times (default: all of them)")
     p.add_argument("--warmup", type=int, help="warm-up steps excluded from stats")
     p.add_argument("--csv", help="write per-step samples to this CSV")
     p.set_defaults(func=_cmd_bench)

@@ -16,11 +16,9 @@ read-only), so values can be shared freely between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidParamError
+from .errors import InvalidParamError
 
 # A dense channel-major float tensor: np.float32, shape (C, H, W).
 TensorCHW = np.ndarray
@@ -54,31 +52,14 @@ class FrameGeometry:
 
 
 @dataclass(frozen=True)
-class Event:
-    """A single sensor measurement: (t, x, y, p) with t in microseconds."""
-
-    t: int
-    x: int
-    y: int
-    p: int
-
-
-@dataclass(frozen=True)
-class StreamViolation:
-    """One invariant violation found by validate_stream."""
-
-    index: int
-    reason: str
-
-
-@dataclass(frozen=True)
 class EventStream:
     """An ordered event sequence bound to a frame geometry.
 
     Events are stored column-wise as read-only numpy arrays so encoders can
     vectorize over them; ``t`` is int64, ``x``/``y`` int32, ``p`` uint8.
-    Use :meth:`from_arrays` or :meth:`from_events` to construct; arrays that
-    already have the right dtype are adopted (and frozen) without a copy.
+    Use :meth:`from_arrays` to construct; arrays that already have the right
+    dtype are adopted (and frozen) without a copy. Only the readers in ``io``
+    check the stream invariants.
     """
 
     geometry: FrameGeometry
@@ -99,22 +80,8 @@ class EventStream:
             a.flags.writeable = False
         return cls(geometry, t, x, y, p)
 
-    @classmethod
-    def from_events(cls, geometry: FrameGeometry, events: Sequence[Event]) -> "EventStream":
-        return cls.from_arrays(
-            geometry,
-            [e.t for e in events],
-            [e.x for e in events],
-            [e.y for e in events],
-            [e.p for e in events],
-        )
-
     def __len__(self) -> int:
         return int(self.t.shape[0])
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
 
     def slice_range(self, t_lo: int, t_hi: int) -> tuple[int, int]:
         """Index range [i, j) of events with t in [t_lo, t_hi)."""
@@ -230,7 +197,6 @@ class EncoderParams:
     recent_events:     event count for the count image
     sae_decay_per_us:  exponential decay rate for the active-event surface
     queue_depth:       per-position FIFO depth for the focus encoder
-    kernel_support_us: sampling-kernel support; defaults to delta_tau_us
     """
 
     delta_tau_us: int = 10_000
@@ -238,7 +204,6 @@ class EncoderParams:
     recent_events: int = 50_000
     sae_decay_per_us: float = 1e-5
     queue_depth: int = 4
-    kernel_support_us: int | None = None
 
     def __post_init__(self):
         if self.delta_tau_us <= 0:
@@ -251,59 +216,12 @@ class EncoderParams:
             raise InvalidParamError("sae_decay_per_us must be positive")
         if self.queue_depth < 1:
             raise InvalidParamError("queue_depth must be >= 1")
-        support = self.kernel_support_us
-        if support is not None and not 0 < support <= self.delta_tau_us:
-            raise InvalidParamError("kernel_support_us must lie in (0, delta_tau_us]")
-
-    @property
-    def support_us(self) -> int:
-        return self.delta_tau_us if self.kernel_support_us is None else self.kernel_support_us
 
 
-def detection_grid(t_max_us: int, delta_tau_us: int, n_steps: int | None = None) -> list[int]:
-    """Detection times delta_tau_us, 2 * delta_tau_us, ...: n_steps of them, by
-    default every one within t_max_us.
+def detection_grid(t_max_us: int, delta_tau_us: int) -> list[int]:
+    """Detection times delta_tau_us, 2 * delta_tau_us, ..., every one within t_max_us.
 
     A partial last window is dropped, not clipped: TAF periods are aligned to
     delta_tau_us, so a step at t_max_us would need a partial period.
     """
-    if n_steps is None:
-        n_steps = t_max_us // delta_tau_us
-    return [(n + 1) * delta_tau_us for n in range(n_steps)]
-
-
-def validate_stream(stream: EventStream) -> list[StreamViolation]:
-    """Check every stream invariant; return one entry per violation.
-
-    An empty report means the stream is valid. Violations carry the index of
-    the offending event and a human-readable reason.
-    """
-    geo = stream.geometry
-    out: list[StreamViolation] = []
-    t, x, y, p = stream.t, stream.x, stream.y, stream.p
-    if len(stream) == 0:
-        return out
-
-    for i in np.nonzero(np.diff(t) < 0)[0]:
-        out.append(StreamViolation(int(i) + 1, "non-monotonic timestamp"))
-    for i in np.nonzero(t < 0)[0]:
-        out.append(StreamViolation(int(i), "negative timestamp"))
-    for i in np.nonzero(t >= geo.t_max_us)[0]:
-        out.append(StreamViolation(int(i), "timestamp at or past t_max"))
-    for i in np.nonzero((x < 0) | (x >= geo.width))[0]:
-        out.append(StreamViolation(int(i), "x out of bounds"))
-    for i in np.nonzero((y < 0) | (y >= geo.height))[0]:
-        out.append(StreamViolation(int(i), "y out of bounds"))
-    for i in np.nonzero(p > 1)[0]:
-        out.append(StreamViolation(int(i), "polarity not in {0, 1}"))
-
-    out.sort(key=lambda v: v.index)
-    return out
-
-
-def require_valid_detection_time(stream: EventStream, t_n: int) -> None:
-    """Raise GeometryMismatchError unless 0 < t_n <= t_max for this stream."""
-    if not 0 < t_n <= stream.geometry.t_max_us:
-        raise GeometryMismatchError(
-            f"detection timestamp {t_n} outside (0, {stream.geometry.t_max_us}]"
-        )
+    return [(n + 1) * delta_tau_us for n in range(t_max_us // delta_tau_us)]

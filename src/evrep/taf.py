@@ -49,28 +49,6 @@ def transform_elapse(delta_t_us, t_max_us: int):
     return float(out) if np.isscalar(delta_t_us) else out
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """The sampling kernel: rectangular, positive on [0, support_us], zero
-    elsewhere. The incremental encoder fixes the support to one period so a
-    step's window is exactly one kernel application per cell."""
-
-    support_us: int
-    shape: str = "rect"
-
-    def __post_init__(self):
-        if self.support_us <= 0:
-            raise InvalidParamError("kernel support must be positive")
-        if self.shape != "rect":
-            raise InvalidParamError(f"unsupported kernel shape {self.shape!r}")
-
-    def weight(self, dt_us) -> np.ndarray | float:
-        """Kernel value at elapse dt_us (scalar or array)."""
-        dt = np.asarray(dt_us)
-        out = np.where((dt >= 0) & (dt <= self.support_us), 1.0, 0.0)
-        return float(out) if np.isscalar(dt_us) else out
-
-
 @dataclass
 class TafState:
     """Mutable per-position FIFO state; one writer, strictly sequential steps.
@@ -204,17 +182,15 @@ def taf_sequence(
     queue_depth: int,
     delta_tau_us: int,
     n_steps: int,
-    t_max_us: int | None = None,
 ) -> Iterator[tuple[int, TensorCHW]]:
     """Run the incremental encoder over a stream, yielding (t_n, tensor) per step."""
-    t_max = stream.geometry.t_max_us if t_max_us is None else t_max_us
     state = taf_init(stream.geometry, queue_depth, delta_tau_us)
     for n in range(n_steps):
         window = WindowView.from_stream(
             stream, n * delta_tau_us, (n + 1) * delta_tau_us, (n + 1) * delta_tau_us
         )
         taf_step(state, window)
-        yield state.detection_time_us, taf_render(state, t_max)
+        yield state.detection_time_us, taf_render(state, stream.geometry.t_max_us)
 
 
 def taf_batch_oracle(

@@ -1,10 +1,4 @@
-import pytest
-
-from evrep.bench import BenchReport, bench_encoder
-from evrep.errors import InvalidParamError
-from evrep.model import EncoderParams
-
-from conftest import make_random_stream
+from evrep.bench import BenchReport
 
 
 def _report(samples):
@@ -30,35 +24,3 @@ class TestBenchReport:
         assert lines[0] == "step,sample_us"
         assert len(lines) == 3
 
-
-class TestBenchEncoder:
-    def test_sample_count_excludes_warmup(self, rng, small_geometry):
-        stream = make_random_stream(rng, small_geometry, 500)
-        params = EncoderParams(delta_tau_us=100_000)
-        report = bench_encoder(stream, "taf", params, n_steps=10, warmup=3)
-        assert report.steps == 7
-        assert report.warmup == 3
-
-    def test_explicit_timestamps_for_baselines(self, rng, small_geometry):
-        stream = make_random_stream(rng, small_geometry, 500)
-        params = EncoderParams()
-        report = bench_encoder(
-            stream, "volume", params, warmup=1, at_times=[100_000, 200_000, 300_000]
-        )
-        assert report.steps == 2
-
-    def test_taf_rejects_explicit_timestamps(self, rng, small_geometry):
-        stream = make_random_stream(rng, small_geometry, 100)
-        with pytest.raises(InvalidParamError):
-            bench_encoder(stream, "taf", EncoderParams(), at_times=[100_000])
-
-    def test_all_steps_warmed_up_is_error(self, rng, small_geometry):
-        stream = make_random_stream(rng, small_geometry, 100)
-        params = EncoderParams(delta_tau_us=100_000)
-        with pytest.raises(InvalidParamError):
-            bench_encoder(stream, "count", params, n_steps=5, warmup=5)
-
-    def test_unknown_representation(self, rng, small_geometry):
-        stream = make_random_stream(rng, small_geometry, 100)
-        with pytest.raises(InvalidParamError):
-            bench_encoder(stream, "hologram", EncoderParams())

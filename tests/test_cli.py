@@ -1,11 +1,15 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evrep.cli
 from evrep.cli import main
+from evrep.encoders import event_volume
 from evrep.io import (
+    read_events_binary,
     read_tensor,
     write_annotations_csv,
     write_detections_csv,
@@ -147,6 +151,23 @@ class TestEncode:
         assert code == 0
         assert sorted(f.name for f in out.iterdir()) == ["events_10000.evtn", "events_20000.evtn"]
 
+    def test_volume_triangular_kernel_matches_encoder(self, one_second_stream, tmp_path):
+        out = tmp_path / "out"
+        code = _run(
+            "encode", "--rep", "volume", "--events", str(one_second_stream), "--out-dir", str(out),
+            "--delta-tau-us", "100000", "--bins", "3", "--kernel", "triangular",
+        )
+        assert code == 0
+        stream = read_events_binary(one_second_stream.read_bytes())
+        files = sorted(out.glob("*.evtn"))
+        assert len(files) == 10
+        for path in files:
+            t_n = int(path.stem.rsplit("_", 1)[1])
+            expected = event_volume(stream, t_n, 100_000, 3, kernel="triangular")
+            assert np.array_equal(read_tensor(path), expected)
+        rect = event_volume(stream, 1_000_000, 100_000, 3)
+        assert not np.array_equal(read_tensor(out / "events_1000000.evtn"), rect)
+
     def test_config_value_of_wrong_type_is_usage_error(self, one_second_stream, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"jobs": "many"}))
@@ -172,6 +193,14 @@ class TestBench:
         assert "median" in out and "steps: 10" in out
         assert len(csv.read_text().splitlines()) == 11  # header + 10 samples
 
+    def test_sample_count_excludes_warmup(self, one_second_stream, capsys):
+        code = _run(
+            "bench", "--rep", "taf", "--events", str(one_second_stream),
+            "--delta-tau-us", "100000", "--steps", "10", "--warmup", "3",
+        )
+        assert code == 0
+        assert "steps: 7 (after 3 warm-up)" in capsys.readouterr().out
+
     def test_zero_event_stream(self, tmp_path, capsys):
         geo = FrameGeometry(8, 8, 200_000)
         empty = tmp_path / "empty.evs"
@@ -192,6 +221,107 @@ class TestBench:
             )
             csvs.append(len(path.read_text().splitlines()))
         assert csvs[0] == csvs[1] == 11
+
+
+    @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
+    def test_events_processed_matches_window_count(self, rep, one_second_stream, capsys):
+        code = _run(
+            "bench", "--rep", rep, "--events", str(one_second_stream), "--steps", "20",
+            "--warmup", "5", "--delta-tau-us", "10000", "--bins", "3", "--recent-events", "30",
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        line = next(l for l in out if l.startswith("events processed"))
+        t = read_events_binary(one_second_stream.read_bytes()).t
+        t_n = np.arange(6, 21) * 10_000
+        upto = np.searchsorted(t, t_n)
+        expected = {
+            "taf": upto - np.searchsorted(t, t_n - 10_000),
+            "volume": upto - np.searchsorted(t, t_n - 30_000),
+            "count": np.minimum(upto, 30),
+            "sae": upto,
+        }[rep]
+        assert line == f"events processed: {int(expected.sum())}"
+
+
+    def test_baselines_at_annotation_times(self, one_second_stream, tmp_path, capsys):
+        ann = tmp_path / "ann.csv"
+        ann.write_text(write_annotations_csv(
+            [Annotation(t, 1, 1, 4, 4, 0) for t in (100_000, 200_000, 200_000, 300_000)]))
+        common = ["bench", "--rep", "volume", "--events", str(one_second_stream),
+                  "--at-annotations", str(ann), "--warmup", "1"]
+        assert _run(*common) == 0
+        assert "steps: 2 (after 1 warm-up)" in capsys.readouterr().out
+        assert _run(*common, "--steps", "2") == 0
+        assert "steps: 1 (after 1 warm-up)" in capsys.readouterr().out
+
+    def test_no_samples_after_warmup_is_usage_error(self, one_second_stream, capsys):
+        code = _run("bench", "--rep", "count", "--events", str(one_second_stream),
+                    "--steps", "5", "--warmup", "5")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("evrep: error: ")
+
+    def test_unknown_representation_is_usage_error(self, one_second_stream):
+        with pytest.raises(SystemExit) as exc:
+            _run("bench", "--rep", "hologram", "--events", str(one_second_stream))
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
+    def test_steps_past_the_end_is_usage_error(self, rep, one_second_stream, capsys):
+        common = ["bench", "--rep", rep, "--events", str(one_second_stream),
+                  "--delta-tau-us", "10000", "--warmup", "0"]
+        assert _run(*common, "--steps", "200") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("evrep: error: --steps")
+        assert _run(*common, "--steps", "100") == 0
+        assert "steps: 100 (after 0 warm-up)" in capsys.readouterr().out
+
+    def test_kernel_is_honoured(self, one_second_stream, monkeypatch):
+        kernels = []
+
+        def spy(*args, **kwargs):
+            kernels.append(kwargs.get("kernel"))
+            return event_volume(*args, **kwargs)
+
+        monkeypatch.setattr(evrep.cli, "event_volume", spy)
+        code = _run("bench", "--rep", "volume", "--events", str(one_second_stream),
+                    "--steps", "4", "--warmup", "1", "--kernel", "triangular")
+        assert code == 0
+        assert kernels == ["triangular"] * 4
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--rep", "count", "--events", "{events}", "--out-dir", "{out}",
+         "--delta-tau-us", "-5"],
+        ["eval", "--detections", "{dets}", "--annotations", "{anns}", "--tolerance-us", "-1"],
+        ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--p1", "2"],
+        ["bench", "--rep", "count", "--events", "{events}", "--warmup", "-1"],
+        ["bench", "--rep", "count", "--events", "{events}", "--steps", "0"],
+        ["bench", "--rep", "taf", "--events", "{events}", "--at-annotations", "{anns}"],
+    ], ids=["encode-delta-tau", "eval-tolerance", "augment-p1", "bench-warmup",
+            "bench-steps", "bench-taf-at-annotations"])
+    def test_parameter_error_is_usage_error(self, argv, one_second_stream, tmp_path, capsys):
+        tensor = tmp_path / "in.evtn"
+        write_tensor(np.zeros((2, 4, 4), dtype=np.float32), tensor)
+        paths = {
+            "events": one_second_stream, "out": tmp_path / "out", "tensor": tensor,
+            "dets": FIXTURES / "golden_eval" / "detections.csv",
+            "anns": FIXTURES / "golden_eval" / "annotations.csv",
+        }
+        assert _run(*(arg.format(**paths) for arg in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evrep: error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_zero_width_header_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.evs"
+        bad.write_bytes(struct.pack("<4sIHHQ", b"EVST", 1, 0, 12, 1_000_000))
+        code = _run("encode", "--rep", "count", "--events", str(bad),
+                    "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: frame dimensions must be positive\n"
 
 
 class TestLevels:

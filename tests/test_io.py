@@ -30,7 +30,7 @@ from evrep.io import (
     write_flow,
     write_tensor,
 )
-from evrep.model import Detection, FlowField, FrameGeometry, validate_stream
+from evrep.model import Detection, FlowField, FrameGeometry
 
 from conftest import make_random_stream
 
@@ -54,6 +54,19 @@ class TestEventsBinary:
         with pytest.raises(CoordOutOfBoundsError):
             read_events_binary(_header() + _record(100, 32, 4, 1))
 
+    def test_y_equal_to_height_rejected(self):
+        with pytest.raises(CoordOutOfBoundsError):
+            read_events_binary(_header() + _record(100, 3, 24, 1))
+
+    def test_t_equal_to_t_max_rejected(self):
+        with pytest.raises(CoordOutOfBoundsError):
+            read_events_binary(_header() + _record(1_000_000, 3, 4, 1))
+
+    def test_empty_stream_accepted(self):
+        stream = read_events_binary(_header())
+        assert len(stream) == 0
+        assert write_events_binary(stream) == _header()
+
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
             read_events_binary(b"XXXX" + _header()[4:])
@@ -68,6 +81,13 @@ class TestEventsBinary:
             read_events_binary(data)
         assert exc.value.index == 1
 
+    def test_non_monotonic_reported_at_later_index(self):
+        data = (_header() + _record(100, 0, 0, 0) + _record(100, 1, 0, 0)
+                + _record(200, 0, 0, 0) + _record(150, 0, 0, 0))
+        with pytest.raises(NonMonotonicTimestampError) as exc:
+            read_events_binary(data)
+        assert exc.value.index == 3
+
     def test_polarity_domain(self):
         with pytest.raises(CoordOutOfBoundsError):
             read_events_binary(_header() + _record(100, 3, 4, 2))
@@ -81,7 +101,16 @@ class TestEventsBinary:
     def test_reader_output_passes_validation(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 200)
         again = read_events_binary(write_events_binary(stream))
-        assert validate_stream(again) == []
+        for name in "txyp":
+            assert np.array_equal(getattr(stream, name), getattr(again, name))
+
+    def test_large_generated_stream_read_back_intact(self, rng, small_geometry):
+        # the reader validates every record, so a generated stream must pass it intact
+        stream = make_random_stream(rng, small_geometry, 10_000)
+        again = read_events_binary(write_events_binary(stream))
+        assert len(again) == 10_000
+        for name in "txyp":
+            assert np.array_equal(getattr(stream, name), getattr(again, name))
 
 
 class TestEventsCsv:

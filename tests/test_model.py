@@ -6,42 +6,11 @@ from evrep.model import (
     Annotation,
     Detection,
     EncoderParams,
-    EventStream,
     FrameGeometry,
     WindowView,
-    validate_stream,
 )
 
 from conftest import make_random_stream
-
-
-class TestValidateStream:
-    def test_non_monotonic_reported_with_index(self, small_geometry):
-        stream = EventStream.from_arrays(small_geometry, [5, 3], [0, 0], [0, 0], [0, 0])
-        report = validate_stream(stream)
-        assert any(v.index == 1 and "non-monotonic" in v.reason for v in report)
-
-    def test_empty_stream_is_valid(self, small_geometry):
-        stream = EventStream.from_arrays(small_geometry, [], [], [], [])
-        assert validate_stream(stream) == []
-
-    def test_random_generated_streams_are_valid(self, rng, small_geometry):
-        stream = make_random_stream(rng, small_geometry, 10_000)
-        assert validate_stream(stream) == []
-
-    def test_out_of_bounds_coordinates(self, small_geometry):
-        stream = EventStream.from_arrays(
-            small_geometry, [1, 2], [small_geometry.width, 0], [0, small_geometry.height], [0, 0]
-        )
-        reasons = {v.reason for v in validate_stream(stream)}
-        assert "x out of bounds" in reasons
-        assert "y out of bounds" in reasons
-
-    def test_timestamp_past_t_max(self, small_geometry):
-        stream = EventStream.from_arrays(
-            small_geometry, [small_geometry.t_max_us], [0], [0], [0]
-        )
-        assert any("t_max" in v.reason for v in validate_stream(stream))
 
 
 def test_tensor_offset_map_is_bijective():
@@ -77,9 +46,6 @@ class TestInvariants:
             EncoderParams(delta_tau_us=0)
         with pytest.raises(InvalidParamError):
             EncoderParams(queue_depth=0)
-        with pytest.raises(InvalidParamError):
-            EncoderParams(kernel_support_us=20_000)  # exceeds delta_tau
-        assert EncoderParams().support_us == 10_000
 
     def test_stream_arrays_are_read_only(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 10)

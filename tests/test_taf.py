@@ -6,7 +6,6 @@ import pytest
 from evrep.errors import InvalidParamError, WindowOutOfOrderError
 from evrep.model import EventStream, FrameGeometry, WindowView
 from evrep.taf import (
-    KernelSpec,
     taf_batch_oracle,
     taf_init,
     taf_render,
@@ -59,22 +58,6 @@ class TestTransform:
 
     def test_beyond_t_max_clamps_to_zero(self):
         assert transform_elapse(2 * T_MAX, T_MAX) == 0.0
-
-
-class TestKernelSpec:
-    def test_positive_on_support_zero_elsewhere(self):
-        kernel = KernelSpec(support_us=10_000)
-        assert kernel.weight(0) == 1.0
-        assert kernel.weight(10_000) == 1.0
-        assert kernel.weight(5_000) > 0.0
-        assert kernel.weight(10_001) == 0.0
-        assert kernel.weight(-1) == 0.0
-
-    def test_domain_validation(self):
-        with pytest.raises(InvalidParamError):
-            KernelSpec(support_us=0)
-        with pytest.raises(InvalidParamError):
-            KernelSpec(support_us=100, shape="triangular")
 
 
 class TestInitAndRender:
