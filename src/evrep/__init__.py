@@ -32,7 +32,6 @@ from .motion import (
     bbofd,
     flow_intensity,
     motion_levels,
-    sanitize_boxes,
     sanitize_report,
 )
 from .taf import (

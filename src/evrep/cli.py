@@ -19,10 +19,11 @@ from typing import Iterator
 
 from .augment import AugmentConfig, augment
 from .bench import BenchReport
-from .encoders import event_count_image, event_volume, surface_active_events
+from .encoders import _check_detection_time, event_count_image, event_volume, surface_active_events
 from .errors import EvrepError, InvalidParamError, MissingLevelError, ParseError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
+    _format_float,
     read_annotations_csv,
     read_detections_csv,
     read_events_binary,
@@ -127,10 +128,16 @@ def _encoder_params(args: argparse.Namespace) -> EncoderParams:
 def _detection_times(
     args: argparse.Namespace, stream: EventStream, params: EncoderParams
 ) -> list[int]:
-    """The timestamps of --at-annotations if given, else the periodic grid."""
+    """The timestamps of --at-annotations if given, else the periodic grid.
+
+    Annotation times are checked here, before the first step writes anything.
+    """
     if args.at_annotations:
         annotations = read_annotations_csv(Path(args.at_annotations).read_text())
-        return sorted({a.t for a in annotations})
+        times = sorted({a.t for a in annotations})
+        for t_n in times:
+            _check_detection_time(stream, t_n)
+        return times
     return detection_grid(stream.geometry.t_max_us, params.delta_tau_us)
 
 
@@ -184,9 +191,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     stems = [Path(p).stem for p in args.events]
     if len(set(stems)) != len(stems):
         raise _UsageError("input files must have distinct stems (outputs would collide)")
+    jobs = int(_resolve(args, "jobs"))
+    if jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = int(_resolve(args, "jobs"))
 
     total = 0
     if jobs > 1 and len(args.events) > 1:
@@ -235,10 +244,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def _cmd_levels(args: argparse.Namespace) -> int:
     annotations = read_annotations_csv(Path(args.annotations).read_text())
     paths = sorted(Path(args.flows).glob("*.flow"))
@@ -275,12 +280,12 @@ def _cmd_levels(args: argparse.Namespace) -> int:
     with out.open("w") as fh:
         fh.write("t,box_index,bbofd,level\n")
         for (t, index, value), level in zip(rows, levels.levels):
-            fh.write(f"{t},{index},{_format_value(value)},{level}\n")
+            fh.write(f"{t},{index},{_format_float(value)},{level}\n")
 
     boundaries_path = Path(args.boundaries) if args.boundaries else out.with_suffix(".boundaries.csv")
     with boundaries_path.open("w") as fh:
         fh.write("q20,q40,q60,q80\n")
-        fh.write(",".join(_format_value(b) for b in levels.boundaries) + "\n")
+        fh.write(",".join(_format_float(b) for b in levels.boundaries) + "\n")
     print(f"wrote {len(rows)} rows to {out} (boundaries: {boundaries_path})")
     return 0
 
@@ -312,7 +317,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.width is None or args.height is None:
             raise _UsageError("--levels needs --width and --height for sanitization")
         t_hi = max((a.t for a in annotations), default=0) + 1
-        geometry = FrameGeometry(args.width, args.height, t_hi)
+        geometry = _config(FrameGeometry, width=args.width, height=args.height, t_max_us=t_hi)
         report = sanitize_report(annotations, geometry)
         level_map = _read_levels_csv(args.levels)
         try:
@@ -327,18 +332,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             v = result.per_level[lv]
             text = "n/a" if v is None else f"{v:.4f}"
             lines.append(f"level {lv} mAP: {text}")
-            csv_rows.append(f"level,{lv},{'' if v is None else _format_value(v)}")
+            csv_rows.append(f"level,{lv},{'' if v is None else _format_float(v)}")
     else:
         overall = map_metric(detections, annotations, cfg)
 
     lines.insert(0, f"overall mAP: {overall.overall_map:.4f}")
-    csv_rows.insert(1, f"overall,,{_format_value(overall.overall_map)}")
+    csv_rows.insert(1, f"overall,,{_format_float(overall.overall_map)}")
     for class_id, value in sorted(overall.per_class.items()):
         lines.append(f"class {class_id} AP: {value:.4f}")
-        csv_rows.append(f"class,{class_id},{_format_value(value)}")
+        csv_rows.append(f"class,{class_id},{_format_float(value)}")
     for thr, value in overall.per_threshold.items():
         lines.append(f"IoU {thr:.2f} AP: {value:.4f}")
-        csv_rows.append(f"threshold,{thr},{_format_value(value)}")
+        csv_rows.append(f"threshold,{thr},{_format_float(value)}")
     if overall.warning:
         lines.append(f"warning: {overall.warning}")
         csv_rows.append(f"warning,,{overall.warning}")

@@ -40,11 +40,10 @@ _RECALL_GRID = np.arange(_RECALL_POINTS) / (_RECALL_POINTS - 1)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """IoU threshold grid, timestamp tolerance, and optional class count."""
+    """IoU threshold grid and timestamp tolerance."""
 
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     timestamp_tolerance_us: int = 0
-    num_classes: int | None = None
 
     def __post_init__(self):
         thr = tuple(self.iou_thresholds)

@@ -91,11 +91,6 @@ def sanitize_report(boxes: Sequence[Annotation], geometry: FrameGeometry) -> San
     return SanitizeReport(kept, kept_idx, removed)
 
 
-def sanitize_boxes(boxes: Sequence[Annotation], geometry: FrameGeometry) -> list[Annotation]:
-    """Clipped, overlap-filtered boxes in their original order."""
-    return list(sanitize_report(boxes, geometry).kept)
-
-
 @dataclass(frozen=True)
 class MotionLevels:
     """Quantile boundaries plus the level (1..5) assigned to each input value."""

@@ -11,10 +11,13 @@ the mean event *timestamp* of its period. The elapse of an entry at
 detection time t is then just t - stored_mean, so aging is implicit and one
 step touches only the cells that fired in the step's window.
 
-Rendering maps elapses through a logarithmic transform onto [0, 1]
-(1 = just now, 0 = t_max or older) and lays slots out as channel
-c = 2*slot + polarity, slot 0 newest. Empty slots render as 0, i.e.
+The state is one float64 array mean_ts[slot, p, y, x], slot 0 newest, so
+rendering maps it elementwise through a logarithmic transform onto [0, 1]
+(1 = just now, 0 = t_max or older) and a reshape gives channel
+c = 2*slot + polarity. An empty slot holds the far-past timestamp _EMPTY:
+its elapse exceeds any t_max, so the render's clamp turns it into 0, i.e.
 "infinitely old" (the transform's far limit), not its value at elapse 0.
+Event timestamps are non-negative, so a slot is filled iff mean_ts >= 0.
 
 taf_batch_oracle recomputes the same tensor non-incrementally from the full
 stream; it exists as an independent cross-check for the incremental path.
@@ -29,6 +32,10 @@ import numpy as np
 
 from .errors import InvalidParamError, WindowOutOfOrderError
 from .model import EventStream, FrameGeometry, TensorCHW, WindowView
+
+# Far-past timestamp of an empty slot (µs). Finite on purpose: numpy's log1p
+# takes a slow path on inf, and 1e30 µs already lies past any u64 t_max.
+_EMPTY = -1e30
 
 
 def transform_elapse(delta_t_us, t_max_us: int):
@@ -53,10 +60,11 @@ def transform_elapse(delta_t_us, t_max_us: int):
 class TafState:
     """Mutable per-position FIFO state; one writer, strictly sequential steps.
 
-    mean_ts[p, y, x, slot] holds the mean event timestamp of one stored
-    period, slot 0 newest; ``count`` says how many slots are filled. A push
-    shifts a cell's slots toward the back (the eldest falls off), so only
-    cells that fired in a step are ever touched.
+    mean_ts[slot, p, y, x] holds the mean event timestamp of one stored
+    period, slot 0 newest; an empty slot holds _EMPTY (negative, while
+    every filled slot is >= 0). A push shifts a cell's slots toward the
+    back (the eldest falls off), so only cells that fired in a step are
+    ever touched.
     """
 
     geometry: FrameGeometry
@@ -64,7 +72,6 @@ class TafState:
     delta_tau_us: int
     step_index: int
     mean_ts: np.ndarray
-    count: np.ndarray
 
     @property
     def detection_time_us(self) -> int:
@@ -83,8 +90,7 @@ def taf_init(geometry: FrameGeometry, queue_depth: int, delta_tau_us: int) -> Ta
         queue_depth=queue_depth,
         delta_tau_us=delta_tau_us,
         step_index=0,
-        mean_ts=np.zeros((2, h, w, queue_depth), dtype=np.float64),
-        count=np.zeros((2, h, w), dtype=np.int32),
+        mean_ts=np.full((queue_depth, 2, h, w), _EMPTY, dtype=np.float64),
     )
 
 
@@ -137,17 +143,11 @@ def taf_step(state: TafState, window: WindowView) -> TafState:
     geo = state.geometry
     if len(window):
         active, mu = _window_mean_timestamps(window, geo.height, geo.width)
-        k = state.queue_depth
-        count = state.count.reshape(-1)
-        mean_ts = state.mean_ts.reshape(-1, k)
-        if k > 1:
-            block = mean_ts[active]
-            block[:, 1:] = block[:, :-1]
-            block[:, 0] = mu
-            mean_ts[active] = block
-        else:
-            mean_ts[active, 0] = mu
-        count[active] = np.minimum(count[active] + 1, k)
+        mean_ts = state.mean_ts.reshape(state.queue_depth, -1)
+        block = mean_ts[:, active]
+        block[1:] = block[:-1]
+        block[0] = mu
+        mean_ts[:, active] = block
 
     state.step_index += 1
     return state
@@ -161,9 +161,7 @@ def taf_render(state: TafState, t_max_us: int) -> TensorCHW:
     """
     if t_max_us <= 0:
         raise InvalidParamError("t_max_us must be positive")
-    k = state.queue_depth
     t_now = float(state.detection_time_us)
-    valid = np.arange(k, dtype=np.int32) < state.count[..., None]
     # elapses stay float64 (timestamps need it); once scaled by 1e-4 the
     # argument is small enough that float32 log1p costs < 1e-7 of accuracy
     scaled = ((t_now - state.mean_ts) * 1e-4).astype(np.float32)
@@ -171,10 +169,8 @@ def taf_render(state: TafState, t_max_us: int) -> TensorCHW:
     np.log1p(scaled, out=scaled)
     rendered = 1.0 - scaled / np.float32(np.log1p(t_max_us * 1e-4))
     np.clip(rendered, 0.0, 1.0, out=rendered)
-    rendered[~valid] = 0.0
-    # (2, H, W, K) -> (K, 2, H, W) -> (2K, H, W): channel 2*slot + polarity
     h, w = state.geometry.height, state.geometry.width
-    return np.ascontiguousarray(rendered.transpose(3, 0, 1, 2)).reshape(2 * k, h, w)
+    return rendered.reshape(2 * state.queue_depth, h, w)
 
 
 def taf_sequence(

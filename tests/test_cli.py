@@ -70,6 +70,28 @@ class TestEncode:
         assert code == 0
         assert len(list(out.glob("*.evtn"))) == 3  # unique timestamps
 
+    def test_annotation_time_past_t_max_writes_nothing(
+        self, one_second_stream, tmp_path, capsys, monkeypatch
+    ):
+        ann = tmp_path / "ann.csv"
+        ann.write_text(write_annotations_csv(
+            [Annotation(t, 1, 1, 4, 4, 0) for t in (100_000, 2_000_000)]))
+        out = tmp_path / "out"
+        code = _run("encode", "--rep", "count", "--events", str(one_second_stream),
+                    "--out-dir", str(out), "--at-annotations", str(ann))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "evrep: detection timestamp 2000000 outside [0, 1000000]\n"
+        )
+        assert not list(out.glob("*.evtn"))
+
+        steps = []
+        monkeypatch.setattr(evrep.cli, "event_count_image", lambda *a: steps.append(a))
+        code = _run("bench", "--rep", "count", "--events", str(one_second_stream),
+                    "--at-annotations", str(ann), "--warmup", "0")
+        assert code == 2
+        assert steps == []
+
     def test_taf_rejects_at_annotations(self, one_second_stream, tmp_path):
         code = _run(
             "encode", "--rep", "taf", "--events", str(one_second_stream),
@@ -300,8 +322,12 @@ class TestExitCodes:
         ["bench", "--rep", "count", "--events", "{events}", "--warmup", "-1"],
         ["bench", "--rep", "count", "--events", "{events}", "--steps", "0"],
         ["bench", "--rep", "taf", "--events", "{events}", "--at-annotations", "{anns}"],
+        ["encode", "--rep", "count", "--events", "{events}", "--out-dir", "{out}",
+         "--jobs", "-3"],
+        ["eval", "--detections", "{dets}", "--annotations", "{anns}", "--levels", "{anns}",
+         "--width", "0", "--height", "10"],
     ], ids=["encode-delta-tau", "eval-tolerance", "augment-p1", "bench-warmup",
-            "bench-steps", "bench-taf-at-annotations"])
+            "bench-steps", "bench-taf-at-annotations", "encode-jobs", "eval-width"])
     def test_parameter_error_is_usage_error(self, argv, one_second_stream, tmp_path, capsys):
         tensor = tmp_path / "in.evtn"
         write_tensor(np.zeros((2, 4, 4), dtype=np.float32), tensor)

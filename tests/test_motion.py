@@ -9,7 +9,6 @@ from evrep.motion import (
     bbofd,
     flow_intensity,
     motion_levels,
-    sanitize_boxes,
     sanitize_report,
 )
 
@@ -84,38 +83,38 @@ class TestSanitize:
             Annotation(0, 0.0, 0.0, 10.0, 10.0, 0),
             Annotation(0, 50.0, 50.0, 10.0, 10.0, 1),
         ]
-        assert sanitize_boxes(boxes, GEO) == boxes
+        assert list(sanitize_report(boxes, GEO).kept) == boxes
 
     def test_identical_boxes_both_removed(self):
         boxes = [
             Annotation(0, 5.0, 5.0, 10.0, 10.0, 0),
             Annotation(0, 5.0, 5.0, 10.0, 10.0, 1),
         ]
-        assert sanitize_boxes(boxes, GEO) == []
+        assert list(sanitize_report(boxes, GEO).kept) == []
 
     def test_overlap_requires_same_timestamp(self):
         boxes = [
             Annotation(0, 5.0, 5.0, 10.0, 10.0, 0),
             Annotation(1000, 5.0, 5.0, 10.0, 10.0, 1),
         ]
-        assert sanitize_boxes(boxes, GEO) == boxes
+        assert list(sanitize_report(boxes, GEO).kept) == boxes
 
     def test_edge_touching_is_not_overlap(self):
         boxes = [
             Annotation(0, 0.0, 0.0, 10.0, 10.0, 0),
             Annotation(0, 10.0, 0.0, 10.0, 10.0, 1),
         ]
-        assert sanitize_boxes(boxes, GEO) == boxes
+        assert list(sanitize_report(boxes, GEO).kept) == boxes
 
     def test_clip_to_right_edge(self):
         boxes = [Annotation(0, 95.0, 10.0, 20.0, 5.0, 0)]
-        (kept,) = sanitize_boxes(boxes, GEO)
+        (kept,) = list(sanitize_report(boxes, GEO).kept)
         assert kept.x == 95.0
         assert kept.w == GEO.width - 95.0
 
     def test_fully_outside_dropped(self):
         boxes = [Annotation(0, 200.0, 10.0, 5.0, 5.0, 0)]
-        assert sanitize_boxes(boxes, GEO) == []
+        assert list(sanitize_report(boxes, GEO).kept) == []
 
     def test_idempotent(self, rng):
         boxes = [
@@ -129,8 +128,8 @@ class TestSanitize:
             )
             for _ in range(40)
         ]
-        once = sanitize_boxes(boxes, GEO)
-        assert sanitize_boxes(once, GEO) == once
+        once = list(sanitize_report(boxes, GEO).kept)
+        assert list(sanitize_report(once, GEO).kept) == once
 
     def test_report_tracks_indices_and_removals(self):
         boxes = [

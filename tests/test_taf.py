@@ -29,10 +29,9 @@ def _run_incremental(stream, n_steps, queue_depth, dt=DT):
 
 
 def _slot_elapses(state, p, y, x):
-    """Newest-first elapse list for one cell."""
-    count = int(state.count[p, y, x])
-    t_now = state.detection_time_us
-    return [t_now - state.mean_ts[p, y, x, i] for i in range(count)]
+    """Newest-first elapse list for one cell's filled slots (mean_ts >= 0)."""
+    cell = state.mean_ts[:, p, y, x]
+    return [state.detection_time_us - ts for ts in cell[cell >= 0]]
 
 
 class TestTransform:
@@ -63,8 +62,8 @@ class TestTransform:
 class TestInitAndRender:
     def test_init_creates_empty_queues(self, sensor_geometry):
         state = taf_init(sensor_geometry, 4, DT)
-        assert state.count.shape == (2, 240, 304)
-        assert not state.count.any()
+        assert state.mean_ts.shape == (4, 2, 240, 304)
+        assert not (state.mean_ts >= 0).any()
         assert state.step_index == 0
 
     def test_fresh_state_renders_zero(self, sensor_geometry):
@@ -103,6 +102,14 @@ class TestInitAndRender:
         b = taf_render(state, T_MAX)
         assert np.array_equal(a, b)
 
+    def test_writing_into_returned_tensor_leaves_next_render(self, rng, small_geometry):
+        stream = make_random_stream(rng, small_geometry, 2000)
+        state = _run_incremental(stream, 40, queue_depth=4)
+        first = taf_render(state, T_MAX)
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(taf_render(state, T_MAX), expected)
+
 
 class TestStep:
     def test_mean_elapse_of_window_events(self):
@@ -133,7 +140,7 @@ class TestStep:
         t = [5_000, 15_000, 25_000, 35_000]
         stream = EventStream.from_arrays(geo, t, [0] * 4, [0] * 4, [0] * 4)
         state = _run_incremental(stream, 4, queue_depth=2)
-        assert state.count[0, 0, 0] == 2
+        assert np.count_nonzero(state.mean_ts[:, 0, 0, 0] >= 0) == 2
         assert _slot_elapses(state, 0, 0, 0) == [5_000.0, 15_000.0]
 
     def test_window_out_of_order(self, small_geometry):
@@ -158,7 +165,7 @@ class TestStep:
     def test_queue_monotonicity_after_random_steps(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 5000)
         state = _run_incremental(stream, 50, queue_depth=4)
-        filled = np.argwhere(state.count > 0)
+        filled = np.argwhere(state.mean_ts[0] >= 0)
         for p, y, x in filled[:200]:
             elapses = _slot_elapses(state, p, y, x)
             assert all(a < b for a, b in zip(elapses, elapses[1:]))
@@ -203,11 +210,15 @@ class TestBatchOracle:
         )
 
     def test_matches_incremental_on_random_streams(self, rng, small_geometry):
-        for _ in range(10):
+        cases = []
+        for i in range(10):
             n_events = int(rng.integers(0, 3000))
             n_steps = int(rng.integers(1, 60))
-            k = int(rng.choice([2, 4, 8]))
-            stream = make_random_stream(rng, small_geometry, n_events)
+            k = (1, 2, 3, 4, 8)[i % 5]
+            cases.append((make_random_stream(rng, small_geometry, n_events), n_steps, k))
+        # K=1 with ~1000 events per window, above the 2*H*W/8 dense threshold
+        cases.append((make_random_stream(rng, small_geometry, 3000, t_hi=3 * DT), 3, 1))
+        for stream, n_steps, k in cases:
             inc = taf_render(_run_incremental(stream, n_steps, k), T_MAX)
             oracle = taf_batch_oracle(stream, n_steps, DT, k, T_MAX)
             assert np.max(np.abs(inc - oracle)) <= 1e-6
