@@ -19,7 +19,13 @@ from typing import Iterator
 
 from .augment import AugmentConfig, augment
 from .bench import BenchReport
-from .encoders import _check_detection_time, event_count_image, event_volume, surface_active_events
+from .encoders import (
+    _check_detection_time,
+    event_count_image,
+    event_volume,
+    sae_init,
+    surface_active_events,
+)
 from .errors import EvrepError, InvalidParamError, MissingLevelError, ParseError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
@@ -27,6 +33,7 @@ from .io import (
     read_annotations_csv,
     read_detections_csv,
     read_events_binary,
+    read_events_geometry,
     read_flow,
     read_tensor,
     write_tensor,
@@ -125,20 +132,25 @@ def _encoder_params(args: argparse.Namespace) -> EncoderParams:
     )
 
 
-def _detection_times(
-    args: argparse.Namespace, stream: EventStream, params: EncoderParams
-) -> list[int]:
-    """The timestamps of --at-annotations if given, else the periodic grid.
+def _annotation_times(args: argparse.Namespace) -> list[int] | None:
+    """The distinct timestamps of --at-annotations in ascending order, or None
+    without it."""
+    if not args.at_annotations:
+        return None
+    annotations = read_annotations_csv(Path(args.at_annotations).read_text())
+    return sorted({a.t for a in annotations})
 
-    Annotation times are checked here, before the first step writes anything.
-    """
-    if args.at_annotations:
-        annotations = read_annotations_csv(Path(args.at_annotations).read_text())
-        times = sorted({a.t for a in annotations})
-        for t_n in times:
-            _check_detection_time(stream, t_n)
-        return times
-    return detection_grid(stream.geometry.t_max_us, params.delta_tau_us)
+
+def _detection_times(
+    annotation_times: list[int] | None, geometry: FrameGeometry, params: EncoderParams
+) -> list[int]:
+    """The annotation times if given, each checked against the geometry's
+    [0, t_max], else the periodic grid."""
+    if annotation_times is None:
+        return detection_grid(geometry.t_max_us, params.delta_tau_us)
+    for t_n in annotation_times:
+        _check_detection_time(geometry, t_n)
+    return annotation_times
 
 
 def _tensors(
@@ -147,39 +159,47 @@ def _tensors(
     """The one loop from a stream to (t_n, tensor) pairs, one per detection time.
 
     TAF steps incrementally over the periodic grid, so for it ``times`` must
-    be the grid's first len(times) entries. The baselines are looked up in
-    this module at each call, where evbench/traced_cli.py wraps them.
+    be the grid's first len(times) entries. SAE folds each step's new events
+    into one running state, so its ``times`` must ascend. The baselines are
+    looked up in this module at each call, where evbench/traced_cli.py wraps
+    them.
     """
     if rep == "taf":
         yield from taf_sequence(stream, params.queue_depth, params.delta_tau_us, len(times))
         return
+    sae = sae_init(stream.geometry) if rep == "sae" else None
     for t_n in times:
         if rep == "volume":
             tensor = event_volume(stream, t_n, params.delta_tau_us, params.bins, kernel=kernel)
         elif rep == "count":
             tensor = event_count_image(stream, t_n, params.recent_events)
         else:
-            tensor = surface_active_events(stream, t_n, params.sae_decay_per_us)
+            tensor = surface_active_events(stream, t_n, params.sae_decay_per_us, state=sae)
         yield t_n, tensor
 
 
-def _events_read(stream: EventStream, rep: str, params: EncoderParams, t_n: int) -> int:
-    """Events the encoder reads for its tensor at t_n."""
-    if rep == "taf":
-        t_lo = t_n - params.delta_tau_us
-    elif rep == "volume":
+def _events_read(
+    stream: EventStream, rep: str, params: EncoderParams, t_prev: int, t_n: int
+) -> int:
+    """Events the encoder reads for its tensor at t_n, after one at t_prev
+    (0 before the first step)."""
+    if rep == "volume":
         t_lo = t_n - params.bins * params.delta_tau_us
-    else:
+    elif rep == "count":
         t_lo = 0
+    else:
+        # TAF and SAE fold in only the events since the previous step
+        t_lo = t_prev
     i, j = stream.slice_range(t_lo, t_n)
     return min(params.recent_events, j - i) if rep == "count" else j - i
 
 
-def _encode_one(path: str, args: argparse.Namespace, params: EncoderParams, out_dir: Path) -> int:
+def _encode_one(
+    path: str, times: list[int], args: argparse.Namespace, params: EncoderParams, out_dir: Path
+) -> int:
     stream = _load_stream(path)
     stem = Path(path).stem
     written = 0
-    times = _detection_times(args, stream, params)
     for t_n, tensor in _tensors(stream, args.rep, params, times, args.kernel):
         write_tensor(tensor, out_dir / f"{stem}_{t_n}.evtn")
         written += 1
@@ -194,17 +214,23 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     jobs = int(_resolve(args, "jobs"))
     if jobs < 1:
         raise _UsageError("--jobs must be >= 1")
+    # every file's times, checked against its header, before the first write
+    annotation_times = _annotation_times(args)
+    plan = [
+        (path, _detection_times(annotation_times, read_events_geometry(path), params))
+        for path in args.events
+    ]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     total = 0
     if jobs > 1 and len(args.events) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_encode_one, p, args, params, out_dir) for p in args.events]
+            futures = [pool.submit(_encode_one, p, t, args, params, out_dir) for p, t in plan]
             total = sum(f.result() for f in futures)
     else:
-        for path in args.events:
-            total += _encode_one(path, args, params, out_dir)
+        for path, times in plan:
+            total += _encode_one(path, times, args, params, out_dir)
     print(f"wrote {total} tensor file(s) to {out_dir}")
     return 0
 
@@ -213,7 +239,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Time each step of the encode loop on a stream held in memory; write no tensors."""
     params = _encoder_params(args)
     stream = _load_stream(args.events)
-    times = _detection_times(args, stream, params)
+    times = _detection_times(_annotation_times(args), stream.geometry, params)
     warmup = int(_resolve(args, "warmup"))
     if warmup < 0:
         raise _UsageError("--warmup must be non-negative")
@@ -231,13 +257,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     tensors = _tensors(stream, args.rep, params, times, args.kernel)
     clock = time.perf_counter
+    t_prev = 0
     for step, t_n in enumerate(times):
         start = clock()
         next(tensors)
         elapsed = (clock() - start) * 1e6
         if step >= warmup:
             report.samples_us.append(elapsed)
-            report.events_processed += _events_read(stream, args.rep, params, t_n)
+            report.events_processed += _events_read(stream, args.rep, params, t_prev, t_n)
+        t_prev = t_n
     print(report.to_text())
     if args.csv:
         Path(args.csv).write_text(report.to_csv())

@@ -1,10 +1,16 @@
 """Dense baseline representations of an event stream at a detection time.
 
-Three encoders, all pure functions returning float32 (C, H, W) tensors:
+Three encoders returning float32 (C, H, W) tensors:
 
 * event_volume:          2B channels; events binned over [t_n - B*dt, t_n)
 * event_count_image:     2 channels; per-pixel counts of the most recent N events
 * surface_active_events: 2 channels; exp-decayed latest-event timestamps
+
+Volume and count are pure functions of (stream, t_n). SAE steps a running
+SaeState: the latest timestamp per cell, into which each call folds only the
+events since the previous call's t_n (a one-slot TAF), so a run over
+ascending detection times costs one window per step, not the whole prefix.
+Decay stays implicit until the render, as TAF's aging does.
 
 Channel layout is polarity-separated everywhere: volume channel c = 2b + p
 (bin 0 oldest), the two-channel encoders use channel index = polarity.
@@ -12,16 +18,18 @@ Channel layout is polarity-separated everywhere: volume channel c = 2b + p
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidParamError
-from .model import EventStream, TensorCHW
+from .errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
+from .model import EventStream, FrameGeometry, TensorCHW
 
 
-def _check_detection_time(stream: EventStream, t_n: int) -> None:
-    if not 0 <= t_n <= stream.geometry.t_max_us:
+def _check_detection_time(geometry: FrameGeometry, t_n: int) -> None:
+    if not 0 <= t_n <= geometry.t_max_us:
         raise GeometryMismatchError(
-            f"detection timestamp {t_n} outside [0, {stream.geometry.t_max_us}]"
+            f"detection timestamp {t_n} outside [0, {geometry.t_max_us}]"
         )
 
 
@@ -43,7 +51,7 @@ def event_volume(
         raise InvalidParamError("delta_tau_us must be positive and bins >= 1")
     if kernel not in ("rect", "triangular"):
         raise InvalidParamError(f"unknown kernel {kernel!r}")
-    _check_detection_time(stream, t_n)
+    _check_detection_time(stream.geometry, t_n)
 
     geo = stream.geometry
     h, w = geo.height, geo.width
@@ -79,7 +87,7 @@ def event_count_image(stream: EventStream, t_n: int, recent_events: int) -> Tens
     """Per-pixel, per-polarity counts of the last min(N, available) events before t_n."""
     if recent_events < 1:
         raise InvalidParamError("recent_events must be >= 1")
-    _check_detection_time(stream, t_n)
+    _check_detection_time(stream.geometry, t_n)
 
     geo = stream.geometry
     h, w = geo.height, geo.width
@@ -94,28 +102,57 @@ def event_count_image(stream: EventStream, t_n: int, recent_events: int) -> Tens
     return counts.reshape(2, h, w).astype(np.float32)
 
 
-def surface_active_events(stream: EventStream, t_n: int, decay_per_us: float) -> TensorCHW:
+@dataclass
+class SaeState:
+    """Running surface of active events; one writer, ascending detection times.
+
+    latest[p*H*W + y*W + x] holds the newest timestamp of a cell's events
+    with t < t_n, or -1 if it never fired (event timestamps are >= 0).
+    """
+
+    latest: np.ndarray
+    t_n: int = 0
+
+
+def sae_init(geometry: FrameGeometry) -> SaeState:
+    """Fresh state at t_n = 0: no event folded in, every cell unseen."""
+    return SaeState(latest=np.full(2 * geometry.height * geometry.width, -1, dtype=np.int64))
+
+
+def surface_active_events(
+    stream: EventStream, t_n: int, decay_per_us: float, state: SaeState | None = None
+) -> TensorCHW:
     """Exponentially decayed snapshot of the latest event time per (x, y, p).
 
     Cells with at least one event before t_n hold exp(decay * (t_latest - t_n));
     cells without history hold 0, the limit of the decay as the latest event
     recedes to the infinite past. All values lie in [0, 1].
+
+    ``state`` carries the latest timestamps of the previous call on the same
+    stream; only the events in [state.t_n, t_n) are folded into it, and it
+    is updated in place. None starts from a fresh state. A t_n before the
+    state's raises WindowOutOfOrderError.
     """
     if decay_per_us <= 0:
         raise InvalidParamError("decay_per_us must be positive")
-    _check_detection_time(stream, t_n)
-
     geo = stream.geometry
-    h, w = geo.height, geo.width
-    j = int(np.searchsorted(stream.t, t_n, side="left"))
-    t = stream.t[:j]
-    x = stream.x[:j].astype(np.int64)
-    y = stream.y[:j].astype(np.int64)
-    p = stream.p[:j].astype(np.int64)
+    _check_detection_time(geo, t_n)
+    if state is None:
+        state = sae_init(geo)
+    if t_n < state.t_n:
+        raise WindowOutOfOrderError(
+            f"detection timestamp {t_n} precedes the state's {state.t_n}"
+        )
 
-    latest = np.full(2 * h * w, -1, dtype=np.int64)
+    h, w = geo.height, geo.width
+    i, j = stream.slice_range(state.t_n, t_n)
+    x = stream.x[i:j].astype(np.int64)
+    y = stream.y[i:j].astype(np.int64)
+    p = stream.p[i:j].astype(np.int64)
+    latest = state.latest
     # unbuffered reduction: well-defined under repeated pixel indices
-    np.maximum.at(latest, (p * h + y) * w + x, t)
+    np.maximum.at(latest, (p * h + y) * w + x, stream.t[i:j])
+    state.t_n = t_n
 
     out = np.zeros(2 * h * w, dtype=np.float64)
     seen = latest >= 0

@@ -73,8 +73,7 @@ def _check_event_columns(t, x, y, p, geometry: FrameGeometry) -> None:
         raise CoordOutOfBoundsError(int(bad[0]), f"polarity not in {{0, 1}} at record {int(bad[0])}")
 
 
-def read_events_binary(data: bytes) -> EventStream:
-    """Decode an event stream from the binary format described above."""
+def _event_header(data: bytes) -> FrameGeometry:
     if len(data) < _EVENT_HEADER.size:
         raise TruncatedRecordError("input shorter than the stream header")
     magic, version, width, height, t_max = _EVENT_HEADER.unpack_from(data, 0)
@@ -82,13 +81,24 @@ def read_events_binary(data: bytes) -> EventStream:
         raise BadMagicError(f"expected {EVENT_MAGIC!r}, found {magic!r}")
     if version != 1:
         raise BadMagicError(f"unsupported event stream version {version}")
+    return FrameGeometry(width, height, t_max)
+
+
+def read_events_geometry(path: str | Path) -> FrameGeometry:
+    """The geometry in an event stream file's header; reads the header only."""
+    with open(path, "rb") as fh:
+        return _event_header(fh.read(_EVENT_HEADER.size))
+
+
+def read_events_binary(data: bytes) -> EventStream:
+    """Decode an event stream from the binary format described above."""
+    geometry = _event_header(data)
     body = len(data) - _EVENT_HEADER.size
     if body % _EVENT_RECORD_DTYPE.itemsize != 0:
         raise TruncatedRecordError(
             f"{body} payload bytes is not a multiple of {_EVENT_RECORD_DTYPE.itemsize}"
         )
 
-    geometry = FrameGeometry(width, height, t_max)
     records = np.frombuffer(data, dtype=_EVENT_RECORD_DTYPE, offset=_EVENT_HEADER.size)
     t = records["t"].astype(np.int64)
     x = records["x"].astype(np.int32)

@@ -92,6 +92,23 @@ class TestEncode:
         assert code == 2
         assert steps == []
 
+    def test_annotation_time_past_a_later_file_writes_nothing(self, rng, tmp_path, capsys):
+        paths = []
+        for name, t_max in (("a", 500_000), ("b", 150_000)):
+            path = tmp_path / f"{name}.evs"
+            path.write_bytes(write_events_binary(
+                make_random_stream(rng, FrameGeometry(16, 12, t_max), 300)))
+            paths.append(str(path))
+        ann = tmp_path / "ann.csv"
+        ann.write_text(write_annotations_csv(
+            [Annotation(t, 1, 1, 4, 4, 0) for t in (100_000, 200_000)]))
+        out = tmp_path / "out"
+        code = _run("encode", "--rep", "sae", "--events", *paths, "--out-dir", str(out),
+                    "--at-annotations", str(ann))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: detection timestamp 200000 outside [0, 150000]\n"
+        assert not list(out.glob("*.evtn"))
+
     def test_taf_rejects_at_annotations(self, one_second_stream, tmp_path):
         code = _run(
             "encode", "--rep", "taf", "--events", str(one_second_stream),
@@ -261,7 +278,7 @@ class TestBench:
             "taf": upto - np.searchsorted(t, t_n - 10_000),
             "volume": upto - np.searchsorted(t, t_n - 30_000),
             "count": np.minimum(upto, 30),
-            "sae": upto,
+            "sae": upto - np.searchsorted(t, t_n - 10_000),
         }[rep]
         assert line == f"events processed: {int(expected.sum())}"
 

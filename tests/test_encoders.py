@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from evrep.encoders import event_count_image, event_volume, surface_active_events
-from evrep.errors import GeometryMismatchError, InvalidParamError
+from evrep.encoders import event_count_image, event_volume, sae_init, surface_active_events
+from evrep.errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
 from evrep.model import EventStream, FrameGeometry
 
 from conftest import make_random_stream
+from encoders_oracle import sae_batch_oracle
 
 
 def _window_count(stream, t_lo, t_hi) -> int:
@@ -214,3 +215,64 @@ class TestSurfaceActiveEvents:
         x, y, p = int(stream.x[idx]), int(stream.y[idx]), int(stream.p[idx])
         surf2 = surface_active_events(bumped, t_n, 1e-5)
         assert surf2[p, y, x] >= surf[p, y, x]
+
+
+def _bursty_stream(rng, geometry):
+    """A few bursts with empty stretches between them; timestamps on a 50 µs
+    lattice so many coincide, and one pixel firing many times in one burst."""
+    t, x, y, p = [], [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        lo = int(rng.integers(0, geometry.t_max_us - 2_000))
+        n = int(rng.integers(0, 300))
+        t.append(rng.integers(lo, lo + 2_000, size=n) // 50 * 50)
+        x.append(rng.integers(0, geometry.width, size=n))
+        y.append(rng.integers(0, geometry.height, size=n))
+        p.append(rng.integers(0, 2, size=n))
+    lo = int(rng.integers(0, geometry.t_max_us - 2_000))
+    n = int(rng.integers(20, 60))
+    t.append(rng.integers(lo, lo + 2_000, size=n))
+    x.append(np.full(n, rng.integers(0, geometry.width)))
+    y.append(np.full(n, rng.integers(0, geometry.height)))
+    p.append(np.full(n, rng.integers(0, 2)))
+    t, x, y, p = (np.concatenate(c) for c in (t, x, y, p))
+    order = np.argsort(t, kind="stable")
+    return EventStream.from_arrays(geometry, t[order], x[order], y[order], p[order])
+
+
+def _ascending_times(rng, stream):
+    """0 and t_max, times on and beside event timestamps, two times inside the
+    longest empty stretch, and random times, ascending with repeats."""
+    t_max = stream.geometry.t_max_us
+    ts = np.unique(np.r_[0, stream.t, t_max])
+    gap = int(np.argmax(np.diff(ts)))
+    picks = rng.choice(stream.t, size=min(len(stream.t), 15), replace=False)
+    times = np.r_[
+        0, t_max, picks, picks + 1, picks - 1, ts[gap] + 1, ts[gap + 1] - 1,
+        rng.integers(0, t_max + 1, size=10),
+    ]
+    times = np.clip(times, 0, t_max)
+    return sorted(int(v) for v in np.r_[times, rng.choice(times, size=5)])
+
+
+class TestSaeIncremental:
+    def test_matches_batch_oracle_at_every_step(self):
+        rng = np.random.default_rng(909)
+        geo = FrameGeometry(8, 6, 100_000)
+        for _ in range(40):
+            stream = _bursty_stream(rng, geo)
+            decay = float(10 ** rng.uniform(-6, -3))
+            state = sae_init(geo)
+            for t_n in _ascending_times(rng, stream):
+                got = surface_active_events(stream, t_n, decay, state=state)
+                assert np.array_equal(got, sae_batch_oracle(stream, t_n, decay)), t_n
+
+    def test_out_of_order_time_raises(self, rng, small_geometry):
+        stream = make_random_stream(rng, small_geometry, 500)
+        state = sae_init(small_geometry)
+        surface_active_events(stream, 500_000, 1e-5, state=state)
+        with pytest.raises(WindowOutOfOrderError):
+            surface_active_events(stream, 499_999, 1e-5, state=state)
+        # the rejected call leaves the state as it was
+        assert state.t_n == 500_000
+        got = surface_active_events(stream, 600_000, 1e-5, state=state)
+        assert np.array_equal(got, sae_batch_oracle(stream, 600_000, 1e-5))

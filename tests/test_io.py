@@ -21,6 +21,7 @@ from evrep.io import (
     read_detections_csv,
     read_events_binary,
     read_events_csv,
+    read_events_geometry,
     read_flow,
     read_tensor,
     write_annotations_csv,
@@ -103,6 +104,15 @@ class TestEventsBinary:
         again = read_events_binary(write_events_binary(stream))
         for name in "txyp":
             assert np.array_equal(getattr(stream, name), getattr(again, name))
+
+    def test_geometry_read_from_header_alone(self, tmp_path):
+        path = tmp_path / "e.evs"
+        # the payload is truncated mid-record: only the header is read
+        path.write_bytes(_header(16, 12, 150_000) + _record(100, 3, 4, 1)[:-1])
+        assert read_events_geometry(path) == FrameGeometry(16, 12, 150_000)
+        path.write_bytes(_header()[:-1])
+        with pytest.raises(TruncatedRecordError):
+            read_events_geometry(path)
 
     def test_large_generated_stream_read_back_intact(self, rng, small_geometry):
         # the reader validates every record, so a generated stream must pass it intact
