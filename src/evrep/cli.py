@@ -1,10 +1,13 @@
 """Command-line front end: encode | bench | levels | eval | augment.
 
 Exit codes: 0 success, 1 usage error (a flag value outside its domain is
-one), 2 data error. Flags are the single configuration surface; ``--config
-FILE`` may supply the same keys as a JSON object (key = long flag name with
-underscores) and explicit flags override it. All randomness is seeded via
-``--seed``.
+one), 2 data error. Flags are the single configuration surface, and each
+carries its own default. ``--config FILE`` replaces those defaults from a JSON
+object: a key is an optional flag's long name with underscores, its value is
+read as the same text on the command line would be, and explicit flags
+override it.
+An unknown key, a required flag's key, a wrong type or a bad choice is a
+usage error. All randomness is seeded via ``--seed``.
 """
 
 from __future__ import annotations
@@ -42,21 +45,6 @@ from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, detecti
 from .motion import bbofd, flow_intensity, motion_levels, sanitize_report
 from .taf import taf_sequence
 
-_DEFAULTS = {
-    "delta_tau_us": 10_000,
-    "bins": 5,
-    "queue_depth": 4,
-    "recent_events": 50_000,
-    "sae_decay": 1e-5,
-    "warmup": 10,
-    "jobs": 1,
-    "tolerance_us": 0,
-    "p1": 0.5,
-    "p2": 0.5,
-    "alpha": 1.5,
-    "seed": 0,
-}
-
 # the EncoderParams fields each representation reads, in bench's report order
 _REP_PARAMS = {
     "taf": ("queue_depth", "delta_tau_us"),
@@ -73,35 +61,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _resolve(args: argparse.Namespace, key: str):
-    """Flag value if given, else config-file value, else the builtin default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
-
-
-def _load_config(args: argparse.Namespace) -> None:
-    config = {}
-    if getattr(args, "config", None):
-        config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
-            raise EvrepError("--config must hold a JSON object")
-    # a config value passes through the type its flag would give it
-    for key, to_type in args.flag_types.items():
-        if key in config:
-            try:
-                config[key] = to_type(config[key])
-            except (TypeError, ValueError):
-                raise _UsageError(
-                    f"--config: {key} must be {to_type.__name__}, got {config[key]!r}"
-                ) from None
-    args._config = config
 
 
 def _load_stream(path: str) -> EventStream:
@@ -124,11 +83,11 @@ def _encoder_params(args: argparse.Namespace) -> EncoderParams:
         raise _UsageError("taf is periodic; --at-annotations does not apply")
     return _config(
         EncoderParams,
-        delta_tau_us=int(_resolve(args, "delta_tau_us")),
-        bins=int(_resolve(args, "bins")),
-        recent_events=int(_resolve(args, "recent_events")),
-        sae_decay_per_us=float(_resolve(args, "sae_decay")),
-        queue_depth=int(_resolve(args, "queue_depth")),
+        delta_tau_us=args.delta_tau_us,
+        bins=args.bins,
+        recent_events=args.recent_events,
+        sae_decay_per_us=args.sae_decay,
+        queue_depth=args.queue_depth,
     )
 
 
@@ -211,8 +170,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     stems = [Path(p).stem for p in args.events]
     if len(set(stems)) != len(stems):
         raise _UsageError("input files must have distinct stems (outputs would collide)")
-    jobs = int(_resolve(args, "jobs"))
-    if jobs < 1:
+    if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
     # every file's times, checked against its header, before the first write
     annotation_times = _annotation_times(args)
@@ -224,8 +182,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     total = 0
-    if jobs > 1 and len(args.events) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(args.events) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_encode_one, p, t, args, params, out_dir) for p, t in plan]
             total = sum(f.result() for f in futures)
     else:
@@ -240,20 +198,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = _encoder_params(args)
     stream = _load_stream(args.events)
     times = _detection_times(_annotation_times(args), stream.geometry, params)
-    warmup = int(_resolve(args, "warmup"))
-    if warmup < 0:
+    if args.warmup < 0:
         raise _UsageError("--warmup must be non-negative")
     if args.steps is not None:
         if not 0 < args.steps <= len(times):
             raise _UsageError(f"--steps must lie in [1, {len(times)}], one per detection time")
         times = times[: args.steps]
-    if len(times) <= warmup:
-        raise _UsageError(f"{len(times)} steps leave no samples after {warmup} warm-up steps")
+    if len(times) <= args.warmup:
+        raise _UsageError(
+            f"{len(times)} steps leave no samples after {args.warmup} warm-up steps"
+        )
 
     report = BenchReport(
         representation=args.rep,
         params={name: getattr(params, name) for name in _REP_PARAMS[args.rep]},
-        warmup=warmup,
+        warmup=args.warmup,
     )
     tensors = _tensors(stream, args.rep, params, times, args.kernel)
     clock = time.perf_counter
@@ -262,7 +221,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         start = clock()
         next(tensors)
         elapsed = (clock() - start) * 1e6
-        if step >= warmup:
+        if step >= args.warmup:
             report.samples_us.append(elapsed)
             report.events_processed += _events_read(stream, args.rep, params, t_prev, t_n)
         t_prev = t_n
@@ -336,7 +295,7 @@ def _read_levels_csv(path: str) -> dict[tuple[int, int], int]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     detections = read_detections_csv(Path(args.detections).read_text())
     annotations = read_annotations_csv(Path(args.annotations).read_text())
-    cfg = _config(EvalConfig, timestamp_tolerance_us=int(_resolve(args, "tolerance_us")))
+    cfg = _config(EvalConfig, timestamp_tolerance_us=args.tolerance_us)
 
     lines: list[str] = []
     csv_rows: list[str] = ["section,key,value"]
@@ -386,10 +345,10 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     tensor = read_tensor(args.input)
     cfg = _config(
         AugmentConfig,
-        flip_prob=float(_resolve(args, "p1")),
-        crop_prob=float(_resolve(args, "p2")),
-        scale=float(_resolve(args, "alpha")),
-        seed=int(_resolve(args, "seed")),
+        flip_prob=args.p1,
+        crop_prob=args.p2,
+        scale=args.alpha,
+        seed=args.seed,
     )
     write_tensor(augment(tensor, cfg), args.output)
     print(f"wrote {args.output}")
@@ -403,18 +362,20 @@ class _UsageError(Exception):
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rep", required=True, choices=tuple(_REP_PARAMS),
                    help="representation to build")
-    p.add_argument("--delta-tau-us", type=int, dest="delta_tau_us", help="sampling period in µs")
-    p.add_argument("--bins", "--b", type=int, dest="bins", help="temporal bins for --rep volume")
+    p.add_argument("--delta-tau-us", type=int, dest="delta_tau_us",
+                   default=EncoderParams.delta_tau_us, help="sampling period in µs")
+    p.add_argument("--bins", "--b", type=int, dest="bins", default=EncoderParams.bins,
+                   help="temporal bins for --rep volume")
     p.add_argument("--queue-depth", "--k", type=int, dest="queue_depth",
-                   help="FIFO depth for --rep taf")
+                   default=EncoderParams.queue_depth, help="FIFO depth for --rep taf")
     p.add_argument("--recent-events", "--n", type=int, dest="recent_events",
-                   help="event count for --rep count")
-    p.add_argument("--sae-decay", type=float, dest="sae_decay", help="decay per µs for --rep sae")
+                   default=EncoderParams.recent_events, help="event count for --rep count")
+    p.add_argument("--sae-decay", type=float, dest="sae_decay",
+                   default=EncoderParams.sae_decay_per_us, help="decay per µs for --rep sae")
     p.add_argument("--kernel", choices=("rect", "triangular"), default="rect",
                    help="volume accumulation kernel")
     p.add_argument("--at-annotations", dest="at_annotations",
                    help="encode at the timestamps of this annotation CSV")
-    p.add_argument("--config", help="JSON file supplying flag defaults")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_encoder_flags(p)
     p.add_argument("--events", nargs="+", required=True, help="binary event stream file(s)")
     p.add_argument("--out-dir", required=True, dest="out_dir", help="output directory")
-    p.add_argument("--jobs", type=int, help="worker threads for multiple inputs")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for multiple inputs")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("bench", help="time a representation, no tensor output")
@@ -433,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True, help="binary event stream file")
     p.add_argument("--steps", type=int,
                    help="time the first N detection times (default: all of them)")
-    p.add_argument("--warmup", type=int, help="warm-up steps excluded from stats")
+    p.add_argument("--warmup", type=int, default=10, help="warm-up steps excluded from stats")
     p.add_argument("--csv", help="write per-step samples to this CSV")
     p.set_defaults(func=_cmd_bench)
 
@@ -442,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True, help="annotation CSV")
     p.add_argument("--out", required=True, help="output CSV (t,box_index,bbofd,level)")
     p.add_argument("--boundaries", help="boundary sidecar CSV path")
-    p.add_argument("--config", help="JSON file supplying flag defaults")
     p.set_defaults(func=_cmd_levels)
 
     p = sub.add_parser("eval", help="mAP over IoU 0.50:0.05:0.95")
@@ -450,38 +410,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True, help="annotation CSV")
     p.add_argument("--levels", help="levels CSV from the levels command")
     p.add_argument("--tolerance-us", type=int, dest="tolerance_us",
+                   default=EvalConfig.timestamp_tolerance_us,
                    help="timestamp matching tolerance in µs")
     p.add_argument("--width", type=int, help="frame width (needed with --levels)")
     p.add_argument("--height", type=int, help="frame height (needed with --levels)")
     p.add_argument("--csv", help="write the result table to this CSV")
-    p.add_argument("--config", help="JSON file supplying flag defaults")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("augment", help="flip/crop one tensor file")
     p.add_argument("--input", required=True, help="input .evtn tensor")
     p.add_argument("--output", required=True, help="output .evtn tensor")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--p1", type=float, help="flip probability")
-    p.add_argument("--p2", type=float, help="crop probability")
-    p.add_argument("--alpha", type=float, help="resize factor >= 1")
-    p.add_argument("--config", help="JSON file supplying flag defaults")
+    p.add_argument("--seed", type=int, default=AugmentConfig.seed, help="random seed")
+    p.add_argument("--p1", type=float, default=AugmentConfig.flip_prob, help="flip probability")
+    p.add_argument("--p2", type=float, default=AugmentConfig.crop_prob, help="crop probability")
+    p.add_argument("--alpha", type=float, default=AugmentConfig.scale, help="resize factor >= 1")
     p.set_defaults(func=_cmd_augment)
 
     for p in sub.choices.values():
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
+        p.add_argument("--config", help="JSON object of flag defaults, keyed by flag name")
     return parser
+
+
+def _parse_with_config(
+    parser: argparse.ArgumentParser, argv: list[str] | None, args: argparse.Namespace
+) -> argparse.Namespace:
+    """argv parsed again with the --config object as its subcommand's defaults.
+    Each value is read as its text on the command line would be, through the
+    flag's type and choices."""
+    config = json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise EvrepError("--config must hold a JSON object")
+    (subparsers,) = parser._subparsers._group_actions
+    command = subparsers.choices[args.command]
+    flags = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    for key, value in config.items():
+        flag = flags.get(key)
+        if flag is None or flag.required:
+            raise _UsageError(f"--config: {key!r} is not an optional flag of {args.command}")
+        to_type = flag.type or str
+        try:
+            config[key] = to_type(str(value))
+        except ValueError:
+            raise _UsageError(
+                f"--config: {key} must be {to_type.__name__}, got {value!r}"
+            ) from None
+        if flag.choices is not None and config[key] not in flag.choices:
+            raise _UsageError(f"--config: {key} must be one of {flag.choices}, got {value!r}")
+    command.set_defaults(**config)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _load_config(args)
+        if args.config:
+            args = _parse_with_config(parser, argv, args)
         return args.func(args)
     except _UsageError as exc:
         print(f"evrep: error: {exc}", file=sys.stderr)
         return 1
-    except (EvrepError, OSError, json.JSONDecodeError) as exc:
+    except (EvrepError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"evrep: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidParamError, MissingLevelError
 from .model import Annotation, Detection
-from .motion import MotionLevels
 
 DEFAULT_IOU_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
 _RECALL_POINTS = 101
@@ -273,21 +272,19 @@ def map_metric(
 def map_by_level(
     detections: Sequence[Detection],
     annotations: Sequence[Annotation],
-    levels: MotionLevels | Sequence[int],
+    levels: Sequence[int],
     cfg: EvalConfig,
     removed_boxes: Sequence[Annotation] = (),
 ) -> LevelEvalResult:
     """mAP restricted to each motion level, plus the unrestricted overall.
 
-    ``levels`` assigns one level per annotation (same order); either a
-    MotionLevels or a bare sequence works. ``removed_boxes`` are
-    sanitize-dropped boxes; detections overlapping them are excused from
+    ``levels`` assigns one level per annotation (same order). ``removed_boxes``
+    are sanitize-dropped boxes; detections overlapping them are excused from
     every level's false positives.
     """
-    level_seq = tuple(levels.levels if isinstance(levels, MotionLevels) else levels)
-    if len(level_seq) != len(annotations):
+    if len(levels) != len(annotations):
         raise MissingLevelError(
-            f"{len(annotations)} annotations but {len(level_seq)} level assignments"
+            f"{len(annotations)} annotations but {len(levels)} level assignments"
         )
     if not annotations:
         raise EmptyInputError("need at least one annotation")
@@ -295,7 +292,7 @@ def map_by_level(
     overall = map_metric(detections, annotations, cfg)
 
     # removed boxes belong to no level, so every level excuses them
-    keep = np.array([*level_seq, *(0 for _ in removed_boxes)]) == np.arange(1, 6)[:, None]
+    keep = np.array([*levels, *(0 for _ in removed_boxes)]) == np.arange(1, 6)[:, None]
     tables = _ap_tables(
         detections, annotations, cfg.iou_thresholds, cfg.timestamp_tolerance_us,
         removed_boxes, keep,

@@ -53,12 +53,6 @@ class SanitizeReport:
     removed_overlapping: tuple[Annotation, ...]
 
 
-def _boxes_overlap(a: Annotation, b: Annotation) -> bool:
-    iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    return iw > 0 and ih > 0
-
-
 def sanitize_report(boxes: Sequence[Annotation], geometry: FrameGeometry) -> SanitizeReport:
     """Clip boxes to the frame, then drop both members of every same-timestamp
     pair whose clipped regions intersect with positive area."""
@@ -72,22 +66,22 @@ def sanitize_report(boxes: Sequence[Annotation], geometry: FrameGeometry) -> San
             continue
         clipped.append((i, Annotation(b.t, x0, y0, x1 - x0, y1 - y0, b.class_id)))
 
-    by_time: dict[int, list[int]] = {}
-    for pos, (_, b) in enumerate(clipped):
-        by_time.setdefault(b.t, []).append(pos)
+    t = np.array([b.t for _, b in clipped], dtype=np.int64)
+    xywh = np.array([(b.x, b.y, b.w, b.h) for _, b in clipped], dtype=np.float64).reshape(-1, 4)
+    lo, hi = xywh[:, :2], xywh[:, :2] + xywh[:, 2:]
+    order = np.argsort(t)
+    drop = np.zeros(len(clipped), dtype=bool)
+    for group in np.split(order, np.flatnonzero(np.diff(t[order])) + 1):
+        # a pair overlaps when min(right) - max(left) > 0 on both axes
+        g_lo, g_hi = lo[group], hi[group]
+        gap = np.minimum(g_hi[:, None], g_hi) - np.maximum(g_lo[:, None], g_lo)
+        overlap = (gap > 0).all(axis=2)
+        np.fill_diagonal(overlap, False)
+        drop[group] = overlap.any(axis=1)
 
-    drop = set()
-    for positions in by_time.values():
-        for a_i in range(len(positions)):
-            for b_i in range(a_i + 1, len(positions)):
-                pa, pb = positions[a_i], positions[b_i]
-                if _boxes_overlap(clipped[pa][1], clipped[pb][1]):
-                    drop.add(pa)
-                    drop.add(pb)
-
-    kept = tuple(b for pos, (_, b) in enumerate(clipped) if pos not in drop)
-    kept_idx = tuple(i for pos, (i, _) in enumerate(clipped) if pos not in drop)
-    removed = tuple(b for pos, (_, b) in enumerate(clipped) if pos in drop)
+    kept = tuple(b for (_, b), d in zip(clipped, drop) if not d)
+    kept_idx = tuple(i for (i, _), d in zip(clipped, drop) if not d)
+    removed = tuple(b for (_, b), d in zip(clipped, drop) if d)
     return SanitizeReport(kept, kept_idx, removed)
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evrep.cli
 from evrep.cli import main
@@ -218,6 +223,116 @@ class TestEncode:
         err = capsys.readouterr().err
         assert err.startswith("evrep: error: ") and "jobs" in err
         assert len(err.splitlines()) == 1
+
+
+# encode's optional flags with values inside their domains; a tiny stream keeps
+# every run to at most 10 tensors
+_VALID_CONFIG = {
+    "delta_tau_us": st.integers(20_000, 200_000),
+    "bins": st.integers(1, 4),
+    "queue_depth": st.integers(1, 4),
+    "recent_events": st.integers(1, 500),
+    "sae_decay": st.floats(1e-7, 1e-3),
+    "kernel": st.sampled_from(["rect", "triangular"]),
+    "jobs": st.integers(1, 3),
+}
+_WRONG_TYPE = st.one_of(
+    st.none(), st.text("xyz", min_size=1, max_size=3),
+    st.lists(st.integers(0, 9), max_size=2), st.just({"a": 1}),
+)
+_CONFIG_ENTRY = st.one_of(
+    st.sampled_from(sorted(_VALID_CONFIG)).flatmap(
+        lambda key: st.tuples(st.just(key), _VALID_CONFIG[key])),
+    st.tuples(st.sampled_from(sorted(_VALID_CONFIG)), _WRONG_TYPE),
+    st.tuples(st.just("kernel"), st.sampled_from(["bogus", "RECT", ""])),
+    st.tuples(st.sampled_from(["deltatau", "rep", "out_dir", "help", "config"]),
+              st.integers(0, 9)),
+)
+
+
+class TestConfigFile:
+    @pytest.fixture(scope="class")
+    def tiny_stream(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tiny") / "events.evs"
+        geo = FrameGeometry(8, 6, 200_000)
+        path.write_bytes(write_events_binary(
+            make_random_stream(np.random.default_rng(5), geo, 200)))
+        return path
+
+    @settings(max_examples=50, deadline=None)
+    @given(config=st.lists(_CONFIG_ENTRY, max_size=4).map(dict))
+    def test_any_config_keeps_the_exit_contract(self, tiny_stream, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = _run("encode", "--rep", "count", "--events", str(tiny_stream),
+                            "--out-dir", str(out), "--config", str(cfg))
+            assert code in (0, 1, 2)
+            assert len(err.getvalue().splitlines()) <= 1
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert not list(out.glob("*.evtn"))
+
+    def test_kernel_from_config_matches_flag(self, one_second_stream, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"kernel": "triangular"}))
+        outs = {"config": ["--config", str(config)], "flag": ["--kernel", "triangular"]}
+        for name, extra in outs.items():
+            assert _run("encode", "--rep", "volume", "--events", str(one_second_stream),
+                        "--out-dir", str(tmp_path / name), "--delta-tau-us", "100000",
+                        *extra) == 0
+        files = sorted(f.name for f in (tmp_path / "flag").glob("*.evtn"))
+        assert len(files) == 10
+        assert files == sorted(f.name for f in (tmp_path / "config").glob("*.evtn"))
+        for name in files:
+            flag_bytes = (tmp_path / "flag" / name).read_bytes()
+            assert (tmp_path / "config" / name).read_bytes() == flag_bytes
+
+    def test_eval_geometry_from_config_matches_flags(self, tmp_path, capsys):
+        anns = [Annotation(0, 0, 0, 10, 10, 0), Annotation(0, 40, 40, 10, 10, 0)]
+        dets = [Detection(0, 0, 0, 10, 10, 0, 0.9), Detection(0, 40, 40, 10, 10, 0, 0.3)]
+        (tmp_path / "a.csv").write_text(write_annotations_csv(anns))
+        (tmp_path / "d.csv").write_text(write_detections_csv(dets))
+        levels = tmp_path / "levels.csv"
+        levels.write_text("t,box_index,bbofd,level\n0,0,0.5,1\n0,1,9.5,5\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"width": 100, "height": 100}))
+        common = ["eval", "--detections", str(tmp_path / "d.csv"),
+                  "--annotations", str(tmp_path / "a.csv"), "--levels", str(levels)]
+        assert _run(*common, "--width", "100", "--height", "100") == 0
+        from_flags = capsys.readouterr().out
+        assert _run(*common, "--config", str(config)) == 0
+        assert capsys.readouterr().out == from_flags
+        assert "level 5 mAP: 1.0000" in from_flags
+
+    @pytest.mark.parametrize("config", [
+        {"deltatau": 5}, {"kernel": "bogus"}, {"out_dir": "elsewhere"}, {"bins": 2.5},
+    ], ids=["unknown-key", "bad-choice", "required-flag", "float-for-int"])
+    def test_rejected_config_is_usage_error(self, config, one_second_stream, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = _run("encode", "--rep", "volume", "--events", str(one_second_stream),
+                    "--out-dir", str(out), "--config", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evrep: error: --config: ") and next(iter(config)) in err
+        assert len(err.splitlines()) == 1
+        assert not list(out.glob("*.evtn"))
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"{not json", b"\xff\xfe{}"],
+                             ids=["not-an-object", "malformed", "not-utf8"])
+    def test_unreadable_config_is_data_error(self, content, one_second_stream, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code = _run("encode", "--rep", "count", "--events", str(one_second_stream),
+                    "--out-dir", str(tmp_path / "out"), "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evrep: ") and len(err.splitlines()) == 1
 
 
 class TestBench:

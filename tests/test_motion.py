@@ -6,6 +6,7 @@ import pytest
 from evrep.errors import DegenerateBoxError, EmptyInputError
 from evrep.model import Annotation, FlowField, FrameGeometry
 from evrep.motion import (
+    SanitizeReport,
     bbofd,
     flow_intensity,
     motion_levels,
@@ -141,6 +142,48 @@ class TestSanitize:
         assert report.kept_indices == (2,)
         assert len(report.removed_overlapping) == 2
 
+
+    def test_matches_pairwise_reference(self, rng):
+        for case in range(300):
+            boxes = [_random_box(rng) for _ in range(int(rng.integers(0, 25)))]
+            assert sanitize_report(boxes, GEO) == _sanitize_pairwise(boxes, GEO), case
+
+
+def _random_box(rng) -> Annotation:
+    """A box on a half-pixel lattice (so edges often touch) or at random
+    real coordinates, reaching up to 10 px past any side of GEO, at one of
+    three shared timestamps."""
+    if rng.random() < 0.5:
+        x, y = rng.integers(-20, 210) / 2, rng.integers(-20, 170) / 2
+        w, h = rng.integers(1, 60, size=2) / 2
+    else:
+        x, y = rng.uniform(-10, 105), rng.uniform(-10, 85)
+        w, h = rng.uniform(0.1, 30, size=2)
+    return Annotation(int(rng.integers(0, 3)) * 1000, float(x), float(y), float(w), float(h),
+                      int(rng.integers(0, 3)))
+
+
+def _sanitize_pairwise(boxes, geometry) -> SanitizeReport:
+    """Reference sanitizer: clip each box, then compare every pair in turn."""
+    clipped = []
+    for i, b in enumerate(boxes):
+        x0, y0 = max(b.x, 0.0), max(b.y, 0.0)
+        x1 = min(b.x + b.w, float(geometry.width))
+        y1 = min(b.y + b.h, float(geometry.height))
+        if x1 - x0 > 0 and y1 - y0 > 0:
+            clipped.append((i, Annotation(b.t, x0, y0, x1 - x0, y1 - y0, b.class_id)))
+    drop = set()
+    for p, (_, a) in enumerate(clipped):
+        for q, (_, b) in enumerate(clipped[:p]):
+            iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+            ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+            if a.t == b.t and iw > 0 and ih > 0:
+                drop |= {p, q}
+    return SanitizeReport(
+        tuple(b for pos, (_, b) in enumerate(clipped) if pos not in drop),
+        tuple(i for pos, (i, _) in enumerate(clipped) if pos not in drop),
+        tuple(b for pos, (_, b) in enumerate(clipped) if pos in drop),
+    )
 
 class TestMotionLevels:
     def test_decile_boundaries(self):
