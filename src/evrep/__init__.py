@@ -36,11 +36,10 @@ from .motion import (
 )
 from .taf import (
     TafState,
-    taf_batch_oracle,
     taf_init,
     taf_render,
-    taf_sequence,
     taf_step,
+    temporal_active_focus,
     transform_elapse,
 )
 

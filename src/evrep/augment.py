@@ -31,8 +31,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.flip_prob <= 1.0 or not 0.0 <= self.crop_prob <= 1.0:
             raise InvalidParamError("probabilities must lie in [0, 1]")
-        if self.scale < 1.0:
-            raise InvalidParamError("scale must be >= 1")
+        if not 1.0 <= self.scale < math.inf:
+            raise InvalidParamError("scale must be finite and >= 1")
 
 
 def flip_h(tensor: TensorCHW) -> TensorCHW:
@@ -47,8 +47,8 @@ def resize_crop(tensor: TensorCHW, scale: float, offsets: tuple[int, int]) -> Te
     stay put, so ties resolve toward the lower index). ``offsets`` is the
     (row, column) corner of the crop window inside the upsampled tensor.
     """
-    if scale < 1.0:
-        raise InvalidParamError("scale must be >= 1")
+    if not 1.0 <= scale < math.inf:
+        raise InvalidParamError("scale must be finite and >= 1")
     _, h, w = tensor.shape
     y_off, x_off = offsets
     h_up = math.floor(scale * h)

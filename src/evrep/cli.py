@@ -43,7 +43,7 @@ from .io import (
 )
 from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, detection_grid
 from .motion import bbofd, flow_intensity, motion_levels, sanitize_report
-from .taf import taf_sequence
+from .taf import taf_init, temporal_active_focus
 
 # the EncoderParams fields each representation reads, in bench's report order
 _REP_PARAMS = {
@@ -79,8 +79,6 @@ def _config(build, **values):
 
 def _encoder_params(args: argparse.Namespace) -> EncoderParams:
     """The encoder flags shared by encode and bench, checked."""
-    if args.rep == "taf" and args.at_annotations:
-        raise _UsageError("taf is periodic; --at-annotations does not apply")
     return _config(
         EncoderParams,
         delta_tau_us=args.delta_tau_us,
@@ -117,23 +115,27 @@ def _tensors(
 ) -> Iterator[tuple[int, TensorCHW]]:
     """The one loop from a stream to (t_n, tensor) pairs, one per detection time.
 
-    TAF steps incrementally over the periodic grid, so for it ``times`` must
-    be the grid's first len(times) entries. SAE folds each step's new events
-    into one running state, so its ``times`` must ascend. The baselines are
-    looked up in this module at each call, where evbench/traced_cli.py wraps
-    them.
+    TAF and SAE fold each step's new events into one running state, so
+    ``times`` must ascend. Volume, count and SAE are looked up in this module
+    at each call, and TAF's window slice, step and render in evrep.taf;
+    evbench/traced_cli.py wraps them there.
     """
-    if rep == "taf":
-        yield from taf_sequence(stream, params.queue_depth, params.delta_tau_us, len(times))
-        return
-    sae = sae_init(stream.geometry) if rep == "sae" else None
+    geo = stream.geometry
+    state = (
+        taf_init(geo, params.queue_depth, params.delta_tau_us) if rep == "taf"
+        else sae_init(geo) if rep == "sae" else None
+    )
     for t_n in times:
-        if rep == "volume":
+        if rep == "taf":
+            tensor = temporal_active_focus(
+                stream, t_n, params.queue_depth, params.delta_tau_us, state=state
+            )
+        elif rep == "volume":
             tensor = event_volume(stream, t_n, params.delta_tau_us, params.bins, kernel=kernel)
         elif rep == "count":
             tensor = event_count_image(stream, t_n, params.recent_events)
         else:
-            tensor = surface_active_events(stream, t_n, params.sae_decay_per_us, state=sae)
+            tensor = surface_active_events(stream, t_n, params.sae_decay_per_us, state=state)
         yield t_n, tensor
 
 
@@ -146,23 +148,14 @@ def _events_read(
         t_lo = t_n - params.bins * params.delta_tau_us
     elif rep == "count":
         t_lo = 0
+    elif rep == "taf":
+        # the open period after an off-grid t_prev is read again
+        t_lo = t_prev - t_prev % params.delta_tau_us
     else:
-        # TAF and SAE fold in only the events since the previous step
+        # SAE folds in only the events since the previous step
         t_lo = t_prev
     i, j = stream.slice_range(t_lo, t_n)
     return min(params.recent_events, j - i) if rep == "count" else j - i
-
-
-def _encode_one(
-    path: str, times: list[int], args: argparse.Namespace, params: EncoderParams, out_dir: Path
-) -> int:
-    stream = _load_stream(path)
-    stem = Path(path).stem
-    written = 0
-    for t_n, tensor in _tensors(stream, args.rep, params, times, args.kernel):
-        write_tensor(tensor, out_dir / f"{stem}_{t_n}.evtn")
-        written += 1
-    return written
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
@@ -181,15 +174,25 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    total = 0
-    if args.jobs > 1 and len(args.events) > 1:
+    written: list[Path] = []
+
+    def encode(path: str, times: list[int]) -> None:
+        stream = _load_stream(path)
+        for t_n, tensor in _tensors(stream, args.rep, params, times, args.kernel):
+            out = out_dir / f"{Path(path).stem}_{t_n}.evtn"
+            written.append(out)  # before the write starts, so a failed write goes too
+            write_tensor(tensor, out)
+
+    try:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_encode_one, p, t, args, params, out_dir) for p, t in plan]
-            total = sum(f.result() for f in futures)
-    else:
-        for path, times in plan:
-            total += _encode_one(path, times, args, params, out_dir)
-    print(f"wrote {total} tensor file(s) to {out_dir}")
+            list((pool.map if args.jobs > 1 else map)(encode, *zip(*plan)))
+    except BaseException:
+        # a body error shows only once its file is read; the pool has drained,
+        # so no worker writes any more, and a failed run leaves no tensor
+        for out in written:
+            out.unlink(missing_ok=True)
+        raise
+    print(f"wrote {len(written)} tensor file(s) to {out_dir}")
     return 0
 
 

@@ -133,8 +133,8 @@ def surface_active_events(
     is updated in place. None starts from a fresh state. A t_n before the
     state's raises WindowOutOfOrderError.
     """
-    if decay_per_us <= 0:
-        raise InvalidParamError("decay_per_us must be positive")
+    if not 0 < decay_per_us < np.inf:
+        raise InvalidParamError("decay_per_us must be positive and finite")
     geo = stream.geometry
     _check_detection_time(geo, t_n)
     if state is None:

@@ -212,8 +212,8 @@ class EncoderParams:
             raise InvalidParamError("bins must be >= 1")
         if self.recent_events < 1:
             raise InvalidParamError("recent_events must be >= 1")
-        if self.sae_decay_per_us <= 0:
-            raise InvalidParamError("sae_decay_per_us must be positive")
+        if not 0 < self.sae_decay_per_us < np.inf:
+            raise InvalidParamError("sae_decay_per_us must be positive and finite")
         if self.queue_depth < 1:
             raise InvalidParamError("queue_depth must be >= 1")
 
@@ -221,7 +221,8 @@ class EncoderParams:
 def detection_grid(t_max_us: int, delta_tau_us: int) -> list[int]:
     """Detection times delta_tau_us, 2 * delta_tau_us, ..., every one within t_max_us.
 
-    A partial last window is dropped, not clipped: TAF periods are aligned to
-    delta_tau_us, so a step at t_max_us would need a partial period.
+    A partial last window is dropped, not clipped, which keeps a grid
+    encode's file count as it has always been; a time off the grid, t_max_us
+    included, is read through --at-annotations.
     """
     return [(n + 1) * delta_tau_us for n in range(t_max_us // delta_tau_us)]

@@ -19,17 +19,20 @@ its elapse exceeds any t_max, so the render's clamp turns it into 0, i.e.
 "infinitely old" (the transform's far limit), not its value at elapse 0.
 Event timestamps are non-negative, so a slot is filled iff mean_ts >= 0.
 
-taf_batch_oracle recomputes the same tensor non-incrementally from the full
-stream; it exists as an independent cross-check for the incremental path.
+temporal_active_focus reads the tensor at any ascending detection time t_n:
+it steps every full period that ends at or before t_n, and off the grid it
+pushes the open period [k*dt, t_n) as each fired cell's newest slot for the
+render only. The test-only oracle tests/taf_oracle.py recomputes the same
+tensor from the whole stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
+from .encoders import _check_detection_time
 from .errors import InvalidParamError, WindowOutOfOrderError
 from .model import EventStream, FrameGeometry, TensorCHW, WindowView
 
@@ -120,6 +123,15 @@ def _window_mean_timestamps(window: WindowView, h: int, w: int):
     return active, sums[active] / counts[active]
 
 
+def _push(state: TafState, active: np.ndarray, mu: np.ndarray) -> None:
+    """Make mu the newest slot of each active cell; its eldest slot falls off."""
+    mean_ts = state.mean_ts.reshape(state.queue_depth, -1)
+    block = mean_ts[:, active]
+    block[1:] = block[:-1]
+    block[0] = mu
+    mean_ts[:, active] = block
+
+
 def taf_step(state: TafState, window: WindowView) -> TafState:
     """Advance the state by one period using the window's events.
 
@@ -142,26 +154,23 @@ def taf_step(state: TafState, window: WindowView) -> TafState:
 
     geo = state.geometry
     if len(window):
-        active, mu = _window_mean_timestamps(window, geo.height, geo.width)
-        mean_ts = state.mean_ts.reshape(state.queue_depth, -1)
-        block = mean_ts[:, active]
-        block[1:] = block[:-1]
-        block[0] = mu
-        mean_ts[:, active] = block
+        _push(state, *_window_mean_timestamps(window, geo.height, geo.width))
 
     state.step_index += 1
     return state
 
 
-def taf_render(state: TafState, t_max_us: int) -> TensorCHW:
-    """Render the state into a float32 (2K, H, W) tensor.
+def taf_render(state: TafState, t_max_us: int, t_n: int | None = None) -> TensorCHW:
+    """Render the state at t_n (default: its detection time) into a float32
+    (2K, H, W) tensor.
 
     Channel c holds polarity c % 2 at slot c // 2 (slot 0 newest). Filled
-    slots hold transform_elapse of their entry's elapse; empty slots hold 0.
+    slots hold transform_elapse of their entry's elapse to t_n; empty slots
+    hold 0.
     """
     if t_max_us <= 0:
         raise InvalidParamError("t_max_us must be positive")
-    t_now = float(state.detection_time_us)
+    t_now = float(state.detection_time_us if t_n is None else t_n)
     # elapses stay float64 (timestamps need it); once scaled by 1e-4 the
     # argument is small enough that float32 log1p costs < 1e-7 of accuracy
     scaled = ((t_now - state.mean_ts) * 1e-4).astype(np.float32)
@@ -173,61 +182,45 @@ def taf_render(state: TafState, t_max_us: int) -> TensorCHW:
     return rendered.reshape(2 * state.queue_depth, h, w)
 
 
-def taf_sequence(
+def temporal_active_focus(
     stream: EventStream,
+    t_n: int,
     queue_depth: int,
     delta_tau_us: int,
-    n_steps: int,
-) -> Iterator[tuple[int, TensorCHW]]:
-    """Run the incremental encoder over a stream, yielding (t_n, tensor) per step."""
-    state = taf_init(stream.geometry, queue_depth, delta_tau_us)
-    for n in range(n_steps):
-        window = WindowView.from_stream(
-            stream, n * delta_tau_us, (n + 1) * delta_tau_us, (n + 1) * delta_tau_us
-        )
-        taf_step(state, window)
-        yield state.detection_time_us, taf_render(state, stream.geometry.t_max_us)
-
-
-def taf_batch_oracle(
-    stream: EventStream,
-    n_steps: int,
-    delta_tau_us: int,
-    queue_depth: int,
-    t_max_us: int,
+    state: TafState | None = None,
 ) -> TensorCHW:
-    """Recompute the step-n tensor directly from the stream, no incremental state.
+    """TAF tensor at t_n: for each (p, y, x), the K most recent non-empty
+    delta_tau-aligned periods of the events with t < t_n, each as its mean
+    elapse to t_n; the newest may be the open period [k*delta_tau, t_n).
 
-    For every (x, y, p): split [0, n*dt) into dt-aligned periods, keep the K
-    most recent non-empty ones, store each period's mean elapse to n*dt, and
-    render exactly like taf_render. Deliberately simple and independent of
-    the incremental code path.
+    ``state`` (None: a fresh one) is stepped in place through every full
+    period that ends at or before t_n. The open period is pushed into the
+    cells that fired in it for the render only, then those cells are
+    restored. A t_n before the end of the state's last full period raises
+    WindowOutOfOrderError.
     """
-    if queue_depth < 1 or delta_tau_us <= 0 or n_steps < 0:
-        raise InvalidParamError("need queue_depth >= 1, delta_tau_us > 0, n_steps >= 0")
-
     geo = stream.geometry
-    h, w = geo.height, geo.width
-    t_end = n_steps * delta_tau_us
-    j = int(np.searchsorted(stream.t, t_end, side="left"))
+    _check_detection_time(geo, t_n)
+    if state is None:
+        state = taf_init(geo, queue_depth, delta_tau_us)
+    if t_n < state.detection_time_us:
+        raise WindowOutOfOrderError(
+            f"detection timestamp {t_n} precedes the state's {state.detection_time_us}"
+        )
 
-    per_cell: dict[tuple[int, int, int], dict[int, list[float]]] = {}
-    ts = stream.t[:j].tolist()
-    xs = stream.x[:j].tolist()
-    ys = stream.y[:j].tolist()
-    ps = stream.p[:j].tolist()
-    for t, x, y, p in zip(ts, xs, ys, ps):
-        period = t // delta_tau_us
-        cell = per_cell.setdefault((p, y, x), {})
-        acc = cell.setdefault(period, [0.0, 0])
-        acc[0] += t
-        acc[1] += 1
-
-    out = np.zeros((2 * queue_depth, h, w), dtype=np.float32)
-    for (p, y, x), periods in per_cell.items():
-        recent = sorted(periods)[-queue_depth:]
-        for slot, period in enumerate(reversed(recent)):
-            total, n = periods[period]
-            elapse = t_end - total / n
-            out[2 * slot + p, y, x] = transform_elapse(elapse, t_max_us)
-    return out
+    while state.detection_time_us + delta_tau_us <= t_n:
+        t_hi = state.detection_time_us + delta_tau_us
+        taf_step(state, WindowView.from_stream(stream, t_hi - delta_tau_us, t_hi, t_hi))
+    t_lo = state.detection_time_us
+    if t_n == t_lo:  # on the grid: no open window is built
+        return taf_render(state, geo.t_max_us)
+    window = WindowView.from_stream(stream, t_lo, t_n, t_n)
+    if not len(window):
+        return taf_render(state, geo.t_max_us, t_n)
+    active, mu = _window_mean_timestamps(window, geo.height, geo.width)
+    slots = state.mean_ts.reshape(state.queue_depth, -1)
+    saved = slots[:, active]
+    _push(state, active, mu)
+    tensor = taf_render(state, geo.t_max_us, t_n)
+    slots[:, active] = saved
+    return tensor

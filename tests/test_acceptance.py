@@ -30,9 +30,10 @@ from evrep.io import (
 )
 from evrep.model import Annotation, Detection, EventStream, FlowField, FrameGeometry, WindowView
 from evrep.motion import motion_levels
-from evrep.taf import taf_batch_oracle, taf_init, taf_render, taf_step, transform_elapse
+from evrep.taf import taf_init, taf_render, taf_step, transform_elapse
 
 from conftest import make_random_stream
+from taf_oracle import taf_batch_oracle
 
 SENSOR = FrameGeometry(304, 240, 60_000_000)
 DT = 10_000
@@ -82,7 +83,7 @@ def test_taf_incremental_equals_batch_oracle():
         k = 4 if i % 2 == 0 else 8
         stream = make_random_stream(rng, SENSOR, n_events, t_hi=n_steps * DT)
         inc = _run_incremental(stream, n_steps, k)
-        oracle = taf_batch_oracle(stream, n_steps, DT, k, T_MAX)
+        oracle = taf_batch_oracle(stream, n_steps * DT, DT, k, T_MAX)
         diff = float(np.max(np.abs(inc - oracle))) if inc.size else 0.0
         worst = max(worst, diff)
         assert diff <= 1e-6, f"stream {i}: max abs diff {diff}"

@@ -117,3 +117,8 @@ class TestAugment:
             AugmentConfig(flip_prob=1.5)
         with pytest.raises(InvalidParamError):
             AugmentConfig(scale=0.5)
+        for scale in (math.nan, math.inf):
+            with pytest.raises(InvalidParamError):
+                AugmentConfig(scale=scale)
+            with pytest.raises(InvalidParamError):
+                resize_crop(np.zeros((1, 2, 2), dtype=np.float32), scale, (0, 0))

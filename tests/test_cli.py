@@ -22,9 +22,10 @@ from evrep.io import (
     write_flow,
     write_tensor,
 )
-from evrep.model import Annotation, Detection, FlowField, FrameGeometry
+from evrep.model import Annotation, Detection, EventStream, FlowField, FrameGeometry
 
 from conftest import make_random_stream
+from taf_oracle import taf_batch_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -114,12 +115,35 @@ class TestEncode:
         assert capsys.readouterr().err == "evrep: detection timestamp 200000 outside [0, 150000]\n"
         assert not list(out.glob("*.evtn"))
 
-    def test_taf_rejects_at_annotations(self, one_second_stream, tmp_path):
+    def test_taf_at_annotation_times(self, one_second_stream, tmp_path):
+        times = [0, 5_000, 123_457, 123_457, 300_000, 999_999, 1_000_000]
+        ann = tmp_path / "ann.csv"
+        ann.write_text(write_annotations_csv([Annotation(t, 1, 1, 4, 4, 0) for t in times]))
+        out = tmp_path / "out"
         code = _run(
-            "encode", "--rep", "taf", "--events", str(one_second_stream),
-            "--out-dir", str(tmp_path / "o"), "--at-annotations", "x.csv",
+            "encode", "--rep", "taf", "--events", str(one_second_stream), "--out-dir", str(out),
+            "--queue-depth", "3", "--delta-tau-us", "10000", "--at-annotations", str(ann),
         )
-        assert code == 1
+        assert code == 0
+        stream = read_events_binary(one_second_stream.read_bytes())
+        assert len(list(out.glob("*.evtn"))) == len(set(times))
+        for t_n in set(times):
+            oracle = taf_batch_oracle(stream, t_n, 10_000, 3, stream.geometry.t_max_us)
+            assert np.max(np.abs(read_tensor(out / f"events_{t_n}.evtn") - oracle)) <= 1e-6
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_body_in_a_later_file_writes_nothing(self, jobs, rng, tmp_path, capsys):
+        geo = FrameGeometry(16, 12, 1_000_000)
+        good = make_random_stream(rng, geo, 1_000)
+        bad = EventStream.from_arrays(geo, good.t[::-1], good.x, good.y, good.p)
+        (tmp_path / "a.evs").write_bytes(write_events_binary(good))
+        (tmp_path / "b.evs").write_bytes(write_events_binary(bad))
+        out = tmp_path / "out"
+        code = _run("encode", "--rep", "count", "--events", str(tmp_path / "a.evs"),
+                    str(tmp_path / "b.evs"), "--out-dir", str(out), "--jobs", jobs)
+        assert code == 2
+        assert "non-monotonic timestamp" in capsys.readouterr().err
+        assert not list(out.glob("*.evtn"))
 
     def test_unknown_representation_is_usage_error(self, one_second_stream, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -377,26 +401,37 @@ class TestBench:
         assert csvs[0] == csvs[1] == 11
 
 
-    @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
-    def test_events_processed_matches_window_count(self, rep, one_second_stream, capsys):
-        code = _run(
-            "bench", "--rep", rep, "--events", str(one_second_stream), "--steps", "20",
-            "--warmup", "5", "--delta-tau-us", "10000", "--bins", "3", "--recent-events", "30",
-        )
-        assert code == 0
+    @pytest.mark.parametrize("rep,times", [
+        ("taf", None), ("volume", None), ("count", None), ("sae", None),
+        ("taf", [0, 5_000, 20_000, 20_000, 31_234, 38_000, 77_777, 80_000, 95_001, 999_999]),
+    ], ids=["taf", "volume", "count", "sae", "taf-at-annotations"])
+    def test_events_processed_matches_window_count(
+        self, rep, times, one_second_stream, tmp_path, capsys
+    ):
+        argv = ["bench", "--rep", rep, "--events", str(one_second_stream), "--warmup", "5",
+                "--delta-tau-us", "10000", "--bins", "3", "--recent-events", "30"]
+        if times is None:
+            argv += ["--steps", "20"]
+            t_n = np.arange(1, 21) * 10_000
+        else:
+            ann = tmp_path / "ann.csv"
+            ann.write_text(write_annotations_csv([Annotation(t, 1, 1, 4, 4, 0) for t in times]))
+            argv += ["--at-annotations", str(ann)]
+            t_n = np.array(sorted(set(times)))
+        assert _run(*argv) == 0
         out = capsys.readouterr().out.splitlines()
         line = next(l for l in out if l.startswith("events processed"))
         t = read_events_binary(one_second_stream.read_bytes()).t
-        t_n = np.arange(6, 21) * 10_000
+        t_prev = np.r_[0, t_n[:-1]]
         upto = np.searchsorted(t, t_n)
         expected = {
-            "taf": upto - np.searchsorted(t, t_n - 10_000),
+            # after an off-grid time TAF reads its open period again
+            "taf": upto - np.searchsorted(t, t_prev - t_prev % 10_000),
             "volume": upto - np.searchsorted(t, t_n - 30_000),
             "count": np.minimum(upto, 30),
-            "sae": upto - np.searchsorted(t, t_n - 10_000),
+            "sae": upto - np.searchsorted(t, t_prev),
         }[rep]
-        assert line == f"events processed: {int(expected.sum())}"
-
+        assert line == f"events processed: {int(expected[5:].sum())}"
 
     def test_baselines_at_annotation_times(self, one_second_stream, tmp_path, capsys):
         ann = tmp_path / "ann.csv"
@@ -453,18 +488,28 @@ class TestExitCodes:
         ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--p1", "2"],
         ["bench", "--rep", "count", "--events", "{events}", "--warmup", "-1"],
         ["bench", "--rep", "count", "--events", "{events}", "--steps", "0"],
-        ["bench", "--rep", "taf", "--events", "{events}", "--at-annotations", "{anns}"],
         ["encode", "--rep", "count", "--events", "{events}", "--out-dir", "{out}",
          "--jobs", "-3"],
         ["eval", "--detections", "{dets}", "--annotations", "{anns}", "--levels", "{anns}",
          "--width", "0", "--height", "10"],
+        ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--alpha", "nan"],
+        ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--alpha", "inf"],
+        ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--config", "{config}"],
+        ["encode", "--rep", "sae", "--events", "{events}", "--out-dir", "{out}",
+         "--sae-decay", "nan"],
+        ["encode", "--rep", "sae", "--events", "{events}", "--out-dir", "{out}",
+         "--sae-decay", "inf"],
     ], ids=["encode-delta-tau", "eval-tolerance", "augment-p1", "bench-warmup",
-            "bench-steps", "bench-taf-at-annotations", "encode-jobs", "eval-width"])
+            "bench-steps", "encode-jobs", "eval-width", "augment-alpha-nan", "augment-alpha-inf",
+            "augment-config-alpha-nan", "encode-sae-decay-nan", "encode-sae-decay-inf"])
     def test_parameter_error_is_usage_error(self, argv, one_second_stream, tmp_path, capsys):
         tensor = tmp_path / "in.evtn"
         write_tensor(np.zeros((2, 4, 4), dtype=np.float32), tensor)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"alpha": "nan"}))
         paths = {
             "events": one_second_stream, "out": tmp_path / "out", "tensor": tensor,
+            "config": config,
             "dets": FIXTURES / "golden_eval" / "detections.csv",
             "anns": FIXTURES / "golden_eval" / "annotations.csv",
         }
@@ -472,6 +517,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("evrep: error: ")
         assert len(err.splitlines()) == 1
+        assert not list((tmp_path / "out").glob("*.evtn"))
 
     def test_zero_width_header_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.evs"

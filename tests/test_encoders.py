@@ -276,3 +276,9 @@ class TestSaeIncremental:
         assert state.t_n == 500_000
         got = surface_active_events(stream, 600_000, 1e-5, state=state)
         assert np.array_equal(got, sae_batch_oracle(stream, 600_000, 1e-5))
+
+    @pytest.mark.parametrize("decay", [0.0, math.nan, math.inf])
+    def test_decay_must_be_positive_and_finite(self, decay, small_geometry):
+        stream = EventStream.from_arrays(small_geometry, [], [], [], [])
+        with pytest.raises(InvalidParamError):
+            surface_active_events(stream, 0, decay)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,9 @@ class TestInvariants:
             EncoderParams(delta_tau_us=0)
         with pytest.raises(InvalidParamError):
             EncoderParams(queue_depth=0)
+        for decay in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParamError):
+                EncoderParams(sae_decay_per_us=decay)
 
     def test_stream_arrays_are_read_only(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 10)

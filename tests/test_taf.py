@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from evrep.errors import InvalidParamError, WindowOutOfOrderError
+from evrep.errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
 from evrep.model import EventStream, FrameGeometry, WindowView
-from evrep.taf import (
-    taf_batch_oracle,
-    taf_init,
-    taf_render,
-    taf_sequence,
-    taf_step,
-    transform_elapse,
-)
+from evrep.taf import taf_init, taf_render, taf_step, temporal_active_focus, transform_elapse
 
 from conftest import make_random_stream
+from taf_oracle import taf_batch_oracle
 
 T_MAX = 60_000_000
 DT = 10_000
@@ -198,12 +192,12 @@ class TestStep:
 class TestBatchOracle:
     def test_empty_stream(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [], [], [], [])
-        assert not taf_batch_oracle(stream, 10, DT, 4, T_MAX).any()
+        assert not taf_batch_oracle(stream, 10 * DT, DT, 4, T_MAX).any()
 
     def test_single_event_elapse(self):
         geo = FrameGeometry(4, 4, T_MAX)
         stream = EventStream.from_arrays(geo, [4], [1], [2], [0])
-        tensor = taf_batch_oracle(stream, 1, DT, 4, T_MAX)
+        tensor = taf_batch_oracle(stream, DT, DT, 4, T_MAX)
         assert np.count_nonzero(tensor) == 1
         assert math.isclose(
             float(tensor[0, 2, 1]), transform_elapse(9_996, T_MAX), rel_tol=1e-6
@@ -220,12 +214,55 @@ class TestBatchOracle:
         cases.append((make_random_stream(rng, small_geometry, 3000, t_hi=3 * DT), 3, 1))
         for stream, n_steps, k in cases:
             inc = taf_render(_run_incremental(stream, n_steps, k), T_MAX)
-            oracle = taf_batch_oracle(stream, n_steps, DT, k, T_MAX)
+            oracle = taf_batch_oracle(stream, n_steps * DT, DT, k, T_MAX)
             assert np.max(np.abs(inc - oracle)) <= 1e-6
 
 
-def test_taf_sequence_yields_periodic_detections(rng, small_geometry):
+class TestTemporalActiveFocus:
+    def test_matches_oracle_at_any_ascending_time(self, rng):
+        for i in range(30):
+            dt = (1_000, 5_000, 10_000)[i % 3]
+            k = (1, 2, 3, 4, 8)[i % 5]
+            # t_max off the grid, so the last time reads an open period
+            t_max = int(rng.integers(5, 40)) * dt + int(rng.integers(1, dt))
+            geo = FrameGeometry(12, 9, t_max)
+            stream = make_random_stream(rng, geo, int(rng.integers(0, 3000)))
+            picks = [0, t_max, *rng.integers(0, t_max + 1, size=8).tolist()]
+            if len(stream):
+                picks += rng.choice(stream.t, size=3).tolist()  # event timestamps
+            picks += picks[1:4]  # repeated times
+            state = taf_init(geo, k, dt)
+            for t_n in sorted(picks):
+                got = temporal_active_focus(stream, t_n, k, dt, state=state)
+                want = taf_batch_oracle(stream, t_n, dt, k, t_max)
+                assert np.max(np.abs(got - want)) <= 1e-6, (i, t_n)
+
+    def test_open_period_leaves_the_state_as_the_grid_does(self, rng, small_geometry):
+        stream = make_random_stream(rng, small_geometry, 2000)
+        state = taf_init(small_geometry, 4, DT)
+        temporal_active_focus(stream, 3 * DT + 4_321, 4, DT, state=state)
+        assert state.step_index == 3
+        assert np.array_equal(state.mean_ts, _run_incremental(stream, 3, 4).mean_ts)
+
+    def test_time_before_the_state_is_out_of_order(self, rng, small_geometry):
+        stream = make_random_stream(rng, small_geometry, 500)
+        state = taf_init(small_geometry, 4, DT)
+        temporal_active_focus(stream, 2 * DT + 1, 4, DT, state=state)
+        temporal_active_focus(stream, 2 * DT, 4, DT, state=state)  # same full periods
+        with pytest.raises(WindowOutOfOrderError):
+            temporal_active_focus(stream, 2 * DT - 1, 4, DT, state=state)
+
+    def test_time_past_t_max_is_rejected(self, small_geometry):
+        stream = EventStream.from_arrays(small_geometry, [], [], [], [])
+        with pytest.raises(GeometryMismatchError):
+            temporal_active_focus(stream, small_geometry.t_max_us + 1, 4, DT)
+
+
+def test_temporal_active_focus_on_grid_equals_step_and_render(rng, small_geometry):
     stream = make_random_stream(rng, small_geometry, 1000)
-    out = list(taf_sequence(stream, 4, DT, 5))
-    assert [t for t, _ in out] == [DT, 2 * DT, 3 * DT, 4 * DT, 5 * DT]
-    assert all(tensor.shape == (8, small_geometry.height, small_geometry.width) for _, tensor in out)
+    state = taf_init(small_geometry, 4, DT)
+    plain = taf_init(small_geometry, 4, DT)
+    for n in range(1, 6):
+        got = temporal_active_focus(stream, n * DT, 4, DT, state=state)
+        taf_step(plain, WindowView.from_stream(stream, (n - 1) * DT, n * DT, n * DT))
+        assert np.array_equal(got, taf_render(plain, small_geometry.t_max_us))
