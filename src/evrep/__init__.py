@@ -3,7 +3,6 @@ to compare representations: augmentation, motion-level stratification, and
 COCO-style mAP with timestamp-tolerance matching."""
 
 from .augment import AugmentConfig, augment, flip_h, resize_crop
-from .bench import BenchReport
 from .bfm import BfmWeights, FoldStage, bfm_forward, load_weights, random_weights, save_weights
 from .encoders import SaeState, event_count_image, event_volume, sae_init, surface_active_events
 from .evalmap import (

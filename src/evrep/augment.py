@@ -18,6 +18,9 @@ import numpy as np
 from .errors import InvalidParamError, OffsetOutOfRangeError
 from .model import TensorCHW
 
+# floor(scale * n) fits int64 for every size n a .evtn header holds (u32)
+MAX_SCALE = 2**31
+
 
 @dataclass(frozen=True)
 class AugmentConfig:
@@ -31,8 +34,10 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.flip_prob <= 1.0 or not 0.0 <= self.crop_prob <= 1.0:
             raise InvalidParamError("probabilities must lie in [0, 1]")
-        if not 1.0 <= self.scale < math.inf:
-            raise InvalidParamError("scale must be finite and >= 1")
+        if not 1.0 <= self.scale < MAX_SCALE:
+            raise InvalidParamError(f"scale must lie in [1, {MAX_SCALE})")
+        if not 0 <= self.seed < 2**128:
+            raise InvalidParamError("seed must lie in [0, 2**128), the Philox key range")
 
 
 def flip_h(tensor: TensorCHW) -> TensorCHW:
@@ -47,8 +52,8 @@ def resize_crop(tensor: TensorCHW, scale: float, offsets: tuple[int, int]) -> Te
     stay put, so ties resolve toward the lower index). ``offsets`` is the
     (row, column) corner of the crop window inside the upsampled tensor.
     """
-    if not 1.0 <= scale < math.inf:
-        raise InvalidParamError("scale must be finite and >= 1")
+    if not 1.0 <= scale < MAX_SCALE:
+        raise InvalidParamError(f"scale must lie in [1, {MAX_SCALE})")
     _, h, w = tensor.shape
     y_off, x_off = offsets
     h_up = math.floor(scale * h)

@@ -1,11 +1,12 @@
 """Command-line front end: encode | bench | levels | eval | augment.
 
 Exit codes: 0 success, 1 usage error (a flag value outside its domain is
-one), 2 data error. Flags are the single configuration surface, and each
-carries its own default. ``--config FILE`` replaces those defaults from a JSON
-object: a key is an optional flag's long name with underscores, its value is
-read as the same text on the command line would be, and explicit flags
-override it.
+one), 2 data error (so are a file that cannot be read or written and an
+allocation the machine refuses). Flags are the single configuration surface,
+and each carries its own default. ``--config FILE`` replaces those defaults
+from a JSON object: a key is an optional flag's long name with underscores,
+its value is read as the same text on the command line would be, and
+explicit flags override it.
 An unknown key, a required flag's key, a wrong type or a bad choice is a
 usage error. All randomness is seeded via ``--seed``.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +23,6 @@ from pathlib import Path
 from typing import Iterator
 
 from .augment import AugmentConfig, augment
-from .bench import BenchReport
 from .encoders import (
     _check_detection_time,
     event_count_image,
@@ -29,16 +30,18 @@ from .encoders import (
     sae_init,
     surface_active_events,
 )
-from .errors import EvrepError, InvalidParamError, MissingLevelError, ParseError
+from .errors import EvrepError, InvalidParamError, MissingLevelError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
-    _format_float,
     read_annotations_csv,
     read_detections_csv,
     read_events_binary,
     read_events_geometry,
     read_flow,
+    read_levels_csv,
     read_tensor,
+    write_csv,
+    write_levels_csv,
     write_tensor,
 )
 from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, detection_grid
@@ -212,25 +215,37 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{len(times)} steps leave no samples after {args.warmup} warm-up steps"
         )
 
-    report = BenchReport(
-        representation=args.rep,
-        params={name: getattr(params, name) for name in _REP_PARAMS[args.rep]},
-        warmup=args.warmup,
-    )
     tensors = _tensors(stream, args.rep, params, times, args.kernel)
     clock = time.perf_counter
+    samples_us: list[float] = []
+    events_processed = 0
     t_prev = 0
     for step, t_n in enumerate(times):
         start = clock()
         next(tensors)
         elapsed = (clock() - start) * 1e6
         if step >= args.warmup:
-            report.samples_us.append(elapsed)
-            report.events_processed += _events_read(stream, args.rep, params, t_prev, t_n)
+            samples_us.append(elapsed)
+            events_processed += _events_read(stream, args.rep, params, t_prev, t_n)
         t_prev = t_n
-    print(report.to_text())
+    ordered, n = sorted(samples_us), len(samples_us)
+    median_us = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
+    # p95 is the nearest-rank percentile: the ceil(0.95 n)-th smallest sample
+    p95_us = ordered[math.ceil(0.95 * n) - 1]
+    shown = {name: getattr(params, name) for name in _REP_PARAMS[args.rep]}
+    print("\n".join([
+        f"representation: {args.rep}",
+        f"params: {shown}",
+        f"steps: {n} (after {args.warmup} warm-up)",
+        f"events processed: {events_processed}",
+        f"median: {median_us / 1000:.3f} ms",
+        f"p95:    {p95_us / 1000:.3f} ms",
+        f"mean:   {sum(samples_us) / n / 1000:.3f} ms",
+    ]))
     if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+        Path(args.csv).write_text(
+            write_csv("step,sample_us", ((i, f"{s:.3f}") for i, s in enumerate(samples_us)))
+        )
     return 0
 
 
@@ -260,39 +275,18 @@ def _cmd_levels(args: argparse.Namespace) -> int:
     for box, value in zip(report.kept, values):
         if value is None:
             raise EvrepError(f"no flow field at timestamp {box.t}")
-    rows = list(zip((box.t for box in report.kept), report.kept_indices, values))
-
     if not values:
         raise EvrepError("no annotations survived sanitization")
     levels = motion_levels(values)
 
     out = Path(args.out)
-    with out.open("w") as fh:
-        fh.write("t,box_index,bbofd,level\n")
-        for (t, index, value), level in zip(rows, levels.levels):
-            fh.write(f"{t},{index},{_format_float(value)},{level}\n")
-
+    out.write_text(write_levels_csv(
+        zip((box.t for box in report.kept), report.kept_indices, values, levels.levels)
+    ))
     boundaries_path = Path(args.boundaries) if args.boundaries else out.with_suffix(".boundaries.csv")
-    with boundaries_path.open("w") as fh:
-        fh.write("q20,q40,q60,q80\n")
-        fh.write(",".join(_format_float(b) for b in levels.boundaries) + "\n")
-    print(f"wrote {len(rows)} rows to {out} (boundaries: {boundaries_path})")
+    boundaries_path.write_text(write_csv("q20,q40,q60,q80", [levels.boundaries]))
+    print(f"wrote {len(values)} rows to {out} (boundaries: {boundaries_path})")
     return 0
-
-
-def _read_levels_csv(path: str) -> dict[tuple[int, int], int]:
-    mapping = {}
-    lines = Path(path).read_text().splitlines()
-    for no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            t, index, _, level = line.split(",")
-            mapping[(int(t), int(index))] = int(level)
-        except ValueError:
-            raise ParseError(no, f"bad levels row {line!r}") from None
-    return mapping
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -300,16 +294,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     annotations = read_annotations_csv(Path(args.annotations).read_text())
     cfg = _config(EvalConfig, timestamp_tolerance_us=args.tolerance_us)
 
-    lines: list[str] = []
-    csv_rows: list[str] = ["section,key,value"]
-
+    per_level: dict[int, float | None] = {}
     if args.levels:
         if args.width is None or args.height is None:
             raise _UsageError("--levels needs --width and --height for sanitization")
         t_hi = max((a.t for a in annotations), default=0) + 1
         geometry = _config(FrameGeometry, width=args.width, height=args.height, t_max_us=t_hi)
         report = sanitize_report(annotations, geometry)
-        level_map = _read_levels_csv(args.levels)
+        level_rows = read_levels_csv(Path(args.levels).read_text())
+        level_map = {(t, index): level for t, index, _, level in level_rows}
         try:
             levels = [level_map[(b.t, i)] for b, i in zip(report.kept, report.kept_indices)]
         except KeyError as missing:
@@ -317,30 +310,26 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         result = map_by_level(
             detections, list(report.kept), levels, cfg, removed_boxes=report.removed_overlapping
         )
-        overall = result.overall
-        for lv in range(1, 6):
-            v = result.per_level[lv]
-            text = "n/a" if v is None else f"{v:.4f}"
-            lines.append(f"level {lv} mAP: {text}")
-            csv_rows.append(f"level,{lv},{'' if v is None else _format_float(v)}")
+        overall, per_level = result.overall, result.per_level
     else:
         overall = map_metric(detections, annotations, cfg)
 
-    lines.insert(0, f"overall mAP: {overall.overall_map:.4f}")
-    csv_rows.insert(1, f"overall,,{_format_float(overall.overall_map)}")
-    for class_id, value in sorted(overall.per_class.items()):
-        lines.append(f"class {class_id} AP: {value:.4f}")
-        csv_rows.append(f"class,{class_id},{_format_float(value)}")
-    for thr, value in overall.per_threshold.items():
-        lines.append(f"IoU {thr:.2f} AP: {value:.4f}")
-        csv_rows.append(f"threshold,{thr},{_format_float(value)}")
+    # (section, key, printed label, value); a level with no boxes has value None
+    results = [
+        ("overall", "", "overall mAP", overall.overall_map),
+        *(("level", lv, f"level {lv} mAP", v) for lv, v in per_level.items()),
+        *(("class", c, f"class {c} AP", v) for c, v in sorted(overall.per_class.items())),
+        *(("threshold", thr, f"IoU {thr:.2f} AP", v) for thr, v in overall.per_threshold.items()),
+    ]
+    lines = [f"{label}: {'n/a' if v is None else f'{v:.4f}'}" for _, _, label, v in results]
+    rows = [(section, key, "" if v is None else v) for section, key, _, v in results]
     if overall.warning:
         lines.append(f"warning: {overall.warning}")
-        csv_rows.append(f"warning,,{overall.warning}")
+        rows.append(("warning", "", overall.warning))
 
     print("\n".join(lines))
     if args.csv:
-        Path(args.csv).write_text("\n".join(csv_rows) + "\n")
+        Path(args.csv).write_text(write_csv("section,key,value", rows))
     return 0
 
 
@@ -473,8 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"evrep: error: {exc}", file=sys.stderr)
         return 1
-    except (EvrepError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"evrep: {exc}", file=sys.stderr)
+    except (EvrepError, OSError, MemoryError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # a MemoryError raised while a list grows carries no message
+        print(f"evrep: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-File-format problems derive from DataFormatError so callers (and the CLI)
-can distinguish bad data (exit code 2) from bad usage (exit code 1).
+Every failure a reader or a computation raises on bad input is an
+EvrepError, which the CLI maps to exit code 2 (data error); a flag value
+outside its domain is mapped to exit code 1 instead. File-format problems
+derive from DataFormatError.
 """
 
 

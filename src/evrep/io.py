@@ -17,17 +17,23 @@ Flow field (.flow)
     header   magic b"FLOW" | t u64 | H u32 | W u32
     payload  H*W float32 u-plane (row-major), then the v-plane
 
-Event CSV        lines "t,x,y,p"; one optional header line
-Annotation CSV   lines "t,x,y,w,h,class_id[,extra...]"; extras ignored
-Detection CSV    lines "t,x,y,w,h,class_id,score[,extra...]"
+CSV (one dialect, read by ``_rows`` and written by ``write_csv``)
+    One optional header line (a first line whose first field is not a
+    number); blank lines skipped; fields stripped; a row needs at least its
+    format's fields and any extra fields are ignored. Ints are written as
+    decimal text, floats in shortest round-trip form.
+    Event CSV        "t,x,y,p"
+    Annotation CSV   "t,x,y,w,h,class_id"
+    Detection CSV    "t,x,y,w,h,class_id,score"
+    Levels CSV       "t,box_index,bbofd,level"; level in 1..5, one row per
+                     (t, box_index)
 """
 
 from __future__ import annotations
 
-import io as _stdio
 import struct
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,14 +126,34 @@ def write_events_binary(stream: EventStream) -> bytes:
     return header + records.tobytes()
 
 
-def _split_csv_lines(text: str) -> list[tuple[int, str]]:
-    """Non-empty lines with their 1-based line numbers."""
-    out = []
+def _rows(text: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, stripped fields) of each row of a CSV in the one
+    dialect of the module docstring."""
+    header_allowed = True
     for no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line:
-            out.append((no, line))
-    return out
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if header_allowed:
+            header_allowed = False
+            try:
+                float(fields[0])
+            except ValueError:
+                continue
+        if len(fields) < n_fields:
+            raise ParseError(no, f"expected at least {n_fields} fields, found {len(fields)}")
+        yield no, fields
+
+
+def write_csv(header: str, rows: Iterable[Sequence]) -> str:
+    """The header line, then one line per row: a float field as the shortest
+    decimal that round-trips to it, any other field as str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        ))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_int(field: str, lineno: int, what: str) -> int:
@@ -147,50 +173,33 @@ def _parse_float(field: str, lineno: int, what: str) -> float:
     return v
 
 
-def _looks_like_header(line: str) -> bool:
-    first = line.split(",")[0].strip()
-    try:
-        float(first)
-        return False
-    except ValueError:
-        return True
-
-
 def read_events_csv(text: str, geometry: FrameGeometry) -> EventStream:
-    """Parse "t,x,y,p" lines (optional header) into a validated stream."""
-    lines = _split_csv_lines(text)
-    if lines and _looks_like_header(lines[0][1]):
-        lines = lines[1:]
-    t = np.empty(len(lines), dtype=np.int64)
-    x = np.empty(len(lines), dtype=np.int32)
-    y = np.empty(len(lines), dtype=np.int32)
-    p = np.empty(len(lines), dtype=np.uint8)
-    for i, (no, line) in enumerate(lines):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 4:
-            raise ParseError(no, f"expected 4 fields, found {len(fields)}")
-        t[i] = _parse_int(fields[0], no, "timestamp")
-        x[i] = _parse_int(fields[1], no, "x")
-        y[i] = _parse_int(fields[2], no, "y")
+    """Parse "t,x,y,p" rows into a validated stream."""
+    rows = []
+    for no, fields in _rows(text, 4):
+        t = _parse_int(fields[0], no, "timestamp")
+        x = _parse_int(fields[1], no, "x")
+        y = _parse_int(fields[2], no, "y")
         pol = _parse_int(fields[3], no, "polarity")
         if pol not in (0, 1):
             raise ParseError(no, f"polarity must be 0 or 1, found {pol}")
-        if t[i] < 0:
-            raise ParseError(no, "negative timestamp")
-        if x[i] < 0 or y[i] < 0:
-            raise ParseError(no, "negative coordinate")
-        p[i] = pol
+        # bounded here, with the line number, so that no value overflows its column
+        if not 0 <= t < geometry.t_max_us:
+            raise ParseError(no, f"timestamp {t} outside [0, {geometry.t_max_us})")
+        if not (0 <= x < geometry.width and 0 <= y < geometry.height):
+            raise ParseError(
+                no, f"coordinate ({x}, {y}) outside the {geometry.width}x{geometry.height} frame"
+            )
+        rows.append((t, x, y, pol))
+    t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     _check_event_columns(t, x, y, p, geometry)
     return EventStream.from_arrays(geometry, t, x, y, p)
 
 
 def write_events_csv(stream: EventStream) -> str:
-    """Emit "t,x,y,p" lines with a header; inverse of read_events_csv."""
-    buf = _stdio.StringIO()
-    buf.write("t,x,y,p\n")
-    for i in range(len(stream)):
-        buf.write(f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
-    return buf.getvalue()
+    """Emit "t,x,y,p" rows with a header; inverse of read_events_csv."""
+    columns = (stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist())
+    return write_csv("t,x,y,p", zip(*columns))
 
 
 def write_tensor(t: np.ndarray, path: str | Path) -> None:
@@ -222,78 +231,74 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return flat.reshape(c, h, w).astype(np.float32, copy=True)
 
 
-def _format_float(v: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(v))
+def _box(no: int, fields: list[str]) -> tuple[int, float, float, float, float, int]:
+    """t, x, y, w, h, class_id of one annotation or detection row."""
+    t = _parse_int(fields[0], no, "timestamp")
+    x = _parse_float(fields[1], no, "x")
+    y = _parse_float(fields[2], no, "y")
+    w = _parse_float(fields[3], no, "w")
+    h = _parse_float(fields[4], no, "h")
+    class_id = _parse_int(fields[5], no, "class_id")
+    if w <= 0 or h <= 0:
+        raise NonPositiveSizeError(no)
+    # both are held in int64 arrays downstream
+    if not (0 <= t < 2**63 and 0 <= class_id < 2**63):
+        raise ParseError(no, f"timestamp {t} or class_id {class_id} outside [0, 2**63)")
+    return t, x, y, w, h, class_id
 
 
 def read_annotations_csv(text: str) -> list[Annotation]:
-    """Parse "t,x,y,w,h,class_id[,extra...]" lines; extras are discarded."""
-    lines = _split_csv_lines(text)
-    if lines and _looks_like_header(lines[0][1]):
-        lines = lines[1:]
-    out: list[Annotation] = []
-    for no, line in lines:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) < 6:
-            raise ParseError(no, f"expected at least 6 fields, found {len(fields)}")
-        t = _parse_int(fields[0], no, "timestamp")
-        x = _parse_float(fields[1], no, "x")
-        y = _parse_float(fields[2], no, "y")
-        w = _parse_float(fields[3], no, "w")
-        h = _parse_float(fields[4], no, "h")
-        class_id = _parse_int(fields[5], no, "class_id")
-        if w <= 0 or h <= 0:
-            raise NonPositiveSizeError(no)
-        out.append(Annotation(t, x, y, w, h, class_id))
-    return out
+    """Parse "t,x,y,w,h,class_id" rows."""
+    return [Annotation(*_box(no, fields)) for no, fields in _rows(text, 6)]
 
 
 def write_annotations_csv(annotations: Sequence[Annotation]) -> str:
-    buf = _stdio.StringIO()
-    buf.write("t,x,y,w,h,class_id\n")
-    for a in annotations:
-        buf.write(
-            f"{a.t},{_format_float(a.x)},{_format_float(a.y)},"
-            f"{_format_float(a.w)},{_format_float(a.h)},{a.class_id}\n"
-        )
-    return buf.getvalue()
+    return write_csv("t,x,y,w,h,class_id", (
+        (a.t, float(a.x), float(a.y), float(a.w), float(a.h), a.class_id) for a in annotations
+    ))
 
 
 def read_detections_csv(text: str) -> list[Detection]:
     """As read_annotations_csv with a seventh "score" column."""
-    lines = _split_csv_lines(text)
-    if lines and _looks_like_header(lines[0][1]):
-        lines = lines[1:]
     out: list[Detection] = []
-    for no, line in lines:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) < 7:
-            raise ParseError(no, f"expected at least 7 fields, found {len(fields)}")
-        t = _parse_int(fields[0], no, "timestamp")
-        x = _parse_float(fields[1], no, "x")
-        y = _parse_float(fields[2], no, "y")
-        w = _parse_float(fields[3], no, "w")
-        h = _parse_float(fields[4], no, "h")
-        class_id = _parse_int(fields[5], no, "class_id")
+    for no, fields in _rows(text, 7):
+        box = _box(no, fields)
         score = _parse_float(fields[6], no, "score")
-        if w <= 0 or h <= 0:
-            raise NonPositiveSizeError(no)
         if not 0.0 <= score <= 1.0:
             raise ParseError(no, f"score {score} outside [0, 1]")
-        out.append(Detection(t, x, y, w, h, class_id, score))
+        out.append(Detection(*box, score))
     return out
 
 
 def write_detections_csv(detections: Sequence[Detection]) -> str:
-    buf = _stdio.StringIO()
-    buf.write("t,x,y,w,h,class_id,score\n")
-    for d in detections:
-        buf.write(
-            f"{d.t},{_format_float(d.x)},{_format_float(d.y)},"
-            f"{_format_float(d.w)},{_format_float(d.h)},{d.class_id},{_format_float(d.score)}\n"
-        )
-    return buf.getvalue()
+    return write_csv("t,x,y,w,h,class_id,score", (
+        (d.t, float(d.x), float(d.y), float(d.w), float(d.h), d.class_id, float(d.score))
+        for d in detections
+    ))
+
+
+def read_levels_csv(text: str) -> list[tuple[int, int, float, int]]:
+    """Parse "t,box_index,bbofd,level" rows, as the levels command writes them.
+
+    A level outside 1..5 or a second row for one (t, box_index) is a ParseError.
+    """
+    rows: dict[tuple[int, int], tuple[int, int, float, int]] = {}
+    for no, fields in _rows(text, 4):
+        t = _parse_int(fields[0], no, "timestamp")
+        index = _parse_int(fields[1], no, "box_index")
+        value = _parse_float(fields[2], no, "bbofd")
+        level = _parse_int(fields[3], no, "level")
+        if not 1 <= level <= 5:
+            raise ParseError(no, f"level {level} outside 1..5")
+        if (t, index) in rows:
+            raise ParseError(no, f"second row for annotation ({t}, {index})")
+        rows[t, index] = (t, index, value, level)
+    return list(rows.values())
+
+
+def write_levels_csv(rows: Iterable[tuple[int, int, float, int]]) -> str:
+    """Emit (t, box_index, bbofd, level) rows with a header; inverse of read_levels_csv."""
+    return write_csv("t,box_index,bbofd,level", ((t, i, float(v), lv) for t, i, v, lv in rows))
 
 
 def write_flow(flow: FlowField, path: str | Path) -> None:

@@ -208,14 +208,17 @@ class EncoderParams:
     def __post_init__(self):
         if self.delta_tau_us <= 0:
             raise InvalidParamError("delta_tau_us must be positive")
-        if self.bins < 1:
-            raise InvalidParamError("bins must be >= 1")
+        # 2 * bins and 2 * queue_depth channels fit a .evtn header's u32
+        if not 1 <= self.bins < 2**31:
+            raise InvalidParamError("bins must lie in [1, 2**31)")
+        if self.bins * self.delta_tau_us >= 2**63:
+            raise InvalidParamError("the volume window bins * delta_tau_us must be below 2**63 µs")
         if self.recent_events < 1:
             raise InvalidParamError("recent_events must be >= 1")
         if not 0 < self.sae_decay_per_us < np.inf:
             raise InvalidParamError("sae_decay_per_us must be positive and finite")
-        if self.queue_depth < 1:
-            raise InvalidParamError("queue_depth must be >= 1")
+        if not 1 <= self.queue_depth < 2**31:
+            raise InvalidParamError("queue_depth must lie in [1, 2**31)")
 
 
 def detection_grid(t_max_us: int, delta_tau_us: int) -> list[int]:

@@ -3,11 +3,12 @@ import io
 import json
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evrep.cli
@@ -433,6 +434,29 @@ class TestBench:
         }[rep]
         assert line == f"events processed: {int(expected[5:].sum())}"
 
+    @pytest.mark.parametrize("samples_ms,median,p95,mean", [
+        ([5, 1, 3], "3.000", "5.000", "3.000"),
+        ([1, 2, 3, 10], "2.500", "10.000", "4.000"),
+        ([1, 2, 6], "2.000", "6.000", "3.000"),
+        ([7], "7.000", "7.000", "7.000"),
+        (list(range(100, 0, -1)), "50.500", "95.000", "50.500"),
+    ], ids=["odd", "even", "mean", "one-sample", "p95-nearest-rank"])
+    def test_statistics_of_the_samples(
+        self, samples_ms, median, p95, mean, one_second_stream, tmp_path, monkeypatch, capsys
+    ):
+        # the clock reads 0 as each step starts and the step's sample as it ends
+        ticks = iter([tick for ms in samples_ms for tick in (0.0, ms / 1000)])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        csv = tmp_path / "samples.csv"
+        assert _run("bench", "--rep", "count", "--events", str(one_second_stream),
+                    "--delta-tau-us", "10000", "--steps", str(len(samples_ms)), "--warmup", "0",
+                    "--csv", str(csv)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == f"steps: {len(samples_ms)} (after 0 warm-up)"
+        assert out[4:] == [f"median: {median} ms", f"p95:    {p95} ms", f"mean:   {mean} ms"]
+        assert csv.read_text() == "step,sample_us\n" + "".join(
+            f"{step},{ms * 1000:.3f}\n" for step, ms in enumerate(samples_ms))
+
     def test_baselines_at_annotation_times(self, one_second_stream, tmp_path, capsys):
         ann = tmp_path / "ann.csv"
         ann.write_text(write_annotations_csv(
@@ -499,17 +523,30 @@ class TestExitCodes:
          "--sae-decay", "nan"],
         ["encode", "--rep", "sae", "--events", "{events}", "--out-dir", "{out}",
          "--sae-decay", "inf"],
+        ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--alpha", "1e300",
+         "--p2", "1"],
+        ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--seed", "-1"],
+        ["encode", "--rep", "taf", "--events", "{events}", "--out-dir", "{out}",
+         "--queue-depth", "1000000000000000"],
+        ["encode", "--rep", "volume", "--events", "{events}", "--out-dir", "{out}",
+         "--bins", "1000000000000000"],
+        ["encode", "--rep", "volume", "--events", "{events}", "--out-dir", "{out}",
+         "--delta-tau-us", str(2**62), "--at-annotations", "{late}"],
     ], ids=["encode-delta-tau", "eval-tolerance", "augment-p1", "bench-warmup",
             "bench-steps", "encode-jobs", "eval-width", "augment-alpha-nan", "augment-alpha-inf",
-            "augment-config-alpha-nan", "encode-sae-decay-nan", "encode-sae-decay-inf"])
+            "augment-config-alpha-nan", "encode-sae-decay-nan", "encode-sae-decay-inf",
+            "augment-alpha-1e300", "augment-seed-negative", "encode-queue-depth-1e15",
+            "encode-bins-1e15", "encode-volume-window-past-int64"])
     def test_parameter_error_is_usage_error(self, argv, one_second_stream, tmp_path, capsys):
         tensor = tmp_path / "in.evtn"
         write_tensor(np.zeros((2, 4, 4), dtype=np.float32), tensor)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"alpha": "nan"}))
+        late = tmp_path / "late.csv"
+        late.write_text(write_annotations_csv([Annotation(500_000, 1, 1, 4, 4, 0)]))
         paths = {
             "events": one_second_stream, "out": tmp_path / "out", "tensor": tensor,
-            "config": config,
+            "config": config, "late": late,
             "dets": FIXTURES / "golden_eval" / "detections.csv",
             "anns": FIXTURES / "golden_eval" / "annotations.csv",
         }
@@ -519,6 +556,18 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not list((tmp_path / "out").glob("*.evtn"))
 
+    def test_refused_allocation_is_one_line_data_error(
+        self, one_second_stream, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(evrep.cli, "event_count_image", refuse)
+        code = _run("encode", "--rep", "count", "--events", str(one_second_stream),
+                    "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: Unable to allocate 8.00 EiB for an array\n"
+
     def test_zero_width_header_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.evs"
         bad.write_bytes(struct.pack("<4sIHHQ", b"EVST", 1, 0, 12, 1_000_000))
@@ -526,6 +575,97 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert capsys.readouterr().err == "evrep: frame dimensions must be positive\n"
+
+
+# flag values for the flag-value fuzz: integer sizes either small or at least
+# 2**50, which the allocator refuses at once; never a size that could really be
+# allocated
+_INT = st.one_of(
+    st.integers(-2, 64).map(str), st.integers(2**50, 2**65).map(str),
+    st.sampled_from(["-0", str(2**62), str(2**63 - 1), str(2**63), str(-2**63)]),
+)
+_FLOAT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0", "0", "1", "1e300", "-1e300", "1e-300",
+                     str(2**63)]),
+    st.floats(-1, 3, allow_nan=False).map(repr),
+)
+_REP = st.sampled_from(["taf", "volume", "count", "sae"])
+
+
+def _flags(required: list, optional: dict):
+    """argv of the required flags, then any subset of the optional ones, each
+    as --flag=value so that a value such as -inf is not read as a flag."""
+    chosen = st.fixed_dictionaries({}, optional=optional)
+    return st.tuples(*required, chosen).map(
+        lambda drawn: [*drawn[:-1], *(f"{flag}={value}" for flag, value in drawn[-1].items())]
+    )
+
+
+_ENCODER_FLAGS = {
+    "--delta-tau-us": _INT, "--bins": _INT, "--queue-depth": _INT, "--recent-events": _INT,
+    "--sae-decay": _FLOAT, "--kernel": st.sampled_from(["rect", "triangular"]),
+    "--at-annotations": st.sampled_from(["{anns}", "{levels}", "{missing}"]),
+}
+_ARGV = st.one_of(
+    _flags([st.just("encode"), _REP.map("--rep={}".format), st.just("--events={events}"),
+            st.just("--out-dir={out}")],
+           {**_ENCODER_FLAGS, "--jobs": st.integers(1, 4)}),
+    _flags([st.just("bench"), _REP.map("--rep={}".format), st.just("--events={events}")],
+           {**_ENCODER_FLAGS, "--steps": _INT, "--warmup": _INT, "--csv": st.just("{out}.csv")}),
+    _flags([st.just("levels"), st.sampled_from(["--flows={flows}", "--flows={out}"]),
+            st.sampled_from(["--annotations={anns}", "--annotations={levels}"]),
+            st.just("--out={out}.csv")],
+           {"--boundaries": st.just("{out}.b.csv")}),
+    _flags([st.just("eval"), st.just("--detections={dets}"), st.just("--annotations={anns}")],
+           {"--tolerance-us": _INT, "--levels": st.sampled_from(["{levels}", "{anns}"]),
+            "--width": _INT, "--height": _INT, "--csv": st.just("{out}.csv")}),
+    _flags([st.just("augment"), st.just("--input={tensor}"), st.just("--output={out}.evtn")],
+           {"--seed": _INT, "--p1": _FLOAT, "--p2": _FLOAT, "--alpha": _FLOAT}),
+)
+
+
+class TestFlagValues:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A 640 µs stream, so that a 1 µs grid is at most 640 small tensors,
+        with boxes, detections, flow fields, levels and a tensor to match."""
+        root = tmp_path_factory.mktemp("flag_values")
+        geo = FrameGeometry(8, 6, 640)
+        (root / "e.evs").write_bytes(write_events_binary(
+            make_random_stream(np.random.default_rng(3), geo, 60)))
+        boxes = [Annotation(100, 0, 0, 4, 4, 0), Annotation(100, 4, 2, 3, 3, 1),
+                 Annotation(400, 1, 1, 2, 5, 0)]
+        (root / "a.csv").write_text(write_annotations_csv(boxes))
+        (root / "d.csv").write_text(write_detections_csv(
+            [Detection(b.t, b.x + 0.5, b.y, b.w, b.h, b.class_id, 0.7) for b in boxes]))
+        (root / "flows").mkdir()
+        for t in (100, 400):
+            write_flow(FlowField.from_planes(t, np.full((6, 8), t / 100), np.ones((6, 8))),
+                       root / "flows" / f"{t}.flow")
+        assert _run("levels", "--flows", str(root / "flows"), "--annotations",
+                    str(root / "a.csv"), "--out", str(root / "levels.csv")) == 0
+        write_tensor(np.ones((2, 4, 4), dtype=np.float32), root / "t.evtn")
+        return {"events": root / "e.evs", "anns": root / "a.csv", "dets": root / "d.csv",
+                "flows": root / "flows", "levels": root / "levels.csv",
+                "tensor": root / "t.evtn", "missing": root / "missing.csv"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_ARGV)
+    @example(argv=["augment", "--input={tensor}", "--output={out}.evtn", "--alpha=1e300",
+                   "--p2=1"])
+    @example(argv=["encode", "--rep=volume", "--events={events}", "--out-dir={out}",
+                   "--bins=1000000000000000"])
+    def test_any_flag_values_keep_the_exit_contract(self, inputs, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = _run(*(arg.format(out=out, **inputs) for arg in argv))
+            assert code in (0, 1, 2)
+            assert len(err.getvalue().splitlines()) <= 1
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert not list(out.glob("*.evtn"))
 
 
 class TestLevels:
@@ -610,6 +750,18 @@ class TestEval:
         assert "level 1 mAP: 1.0000" in out
         assert "level 5 mAP: 1.0000" in out
         assert "level 2 mAP: n/a" in out
+
+    def test_level_outside_one_to_five_is_data_error(self, tmp_path, capsys):
+        levels = tmp_path / "levels.csv"
+        levels.write_text("t,box_index,bbofd,level\n0,0,0.5,9\n")
+        code = _run(
+            "eval",
+            "--detections", str(FIXTURES / "golden_eval" / "detections.csv"),
+            "--annotations", str(FIXTURES / "golden_eval" / "annotations.csv"),
+            "--levels", str(levels), "--width", "100", "--height", "100",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: line 2: level 9 outside 1..5\n"
 
     def test_levels_without_geometry_is_usage_error(self, tmp_path):
         code = _run(

@@ -1,14 +1,18 @@
 import struct
+import tempfile
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evrep.errors import (
     BadMagicError,
     CoordOutOfBoundsError,
     DimMismatchError,
+    EvrepError,
     NonMonotonicTimestampError,
     NonPositiveSizeError,
     ParseError,
@@ -23,15 +27,17 @@ from evrep.io import (
     read_events_csv,
     read_events_geometry,
     read_flow,
+    read_levels_csv,
     read_tensor,
     write_annotations_csv,
     write_detections_csv,
     write_events_binary,
     write_events_csv,
     write_flow,
+    write_levels_csv,
     write_tensor,
 )
-from evrep.model import Detection, FlowField, FrameGeometry
+from evrep.model import Annotation, Detection, EventStream, FlowField, FrameGeometry
 
 from conftest import make_random_stream
 
@@ -142,6 +148,22 @@ class TestEventsCsv:
             read_events_csv("100,3,4,1\nbogus,1,1\n", small_geometry)
         assert exc.value.line == 2
 
+    def test_extra_columns_ignored(self, small_geometry):
+        stream = read_events_csv("t,x,y,p\n100,3,4,1,extra\n200,5,6,0,7,8\n", small_geometry)
+        assert stream.t.tolist() == [100, 200] and stream.p.tolist() == [1, 0]
+
+    def test_too_few_fields_names_the_minimum(self, small_geometry):
+        with pytest.raises(ParseError, match="line 1: expected at least 4 fields, found 3"):
+            read_events_csv("100,3,4\n", small_geometry)
+
+    @pytest.mark.parametrize("line", [
+        "99999999999999999999,3,4,1", "100,99999999999,4,1", "100,3,-1,1", "1000000,3,4,1",
+    ], ids=["t-past-int64", "x-past-int32", "negative-y", "t-at-t-max"])
+    def test_value_outside_its_column_is_parse_error(self, line, small_geometry):
+        with pytest.raises(ParseError) as exc:
+            read_events_csv(f"100,3,4,1\n{line}\n", small_geometry)
+        assert exc.value.line == 2
+
     def test_cross_format_equality(self, rng, small_geometry):
         for _ in range(10):
             stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 300)))
@@ -238,6 +260,15 @@ class TestBoxCsv:
         dets = [Detection(*row) for row in rows]
         assert read_detections_csv(write_detections_csv(dets)) == dets
 
+    @pytest.mark.parametrize("line", [
+        "99999999999999999999,1,1,5,5,0", "-1,1,1,5,5,0", "5,1,1,5,5,99999999999999999999",
+    ], ids=["t-past-int64", "negative-t", "class-past-int64"])
+    def test_timestamp_or_class_id_outside_its_range_is_parse_error(self, line):
+        with pytest.raises(ParseError):
+            read_annotations_csv(line + "\n")
+        with pytest.raises(ParseError):
+            read_detections_csv(line + ",0.5\n")
+
     def test_annotations_round_trip(self, rng):
         boxes = [
             # 0.1-step values chosen to exercise non-dyadic decimals
@@ -281,3 +312,115 @@ class TestFlowFile:
             assert back.t == field.t
             assert np.array_equal(back.u, field.u)
             assert np.array_equal(back.v, field.v)
+
+
+class TestLevelsCsv:
+    TEXT = "t,box_index,bbofd,level\n50000,0,0.12478771060705185,1\n50000,2,7.0,5\n90000,3,0.0,3\n"
+
+    def test_round_trip_bitwise(self):
+        rows = read_levels_csv(self.TEXT)
+        assert rows == [(50000, 0, 0.12478771060705185, 1), (50000, 2, 7.0, 5), (90000, 3, 0.0, 3)]
+        assert write_levels_csv(rows) == self.TEXT
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 10**12), st.integers(0, 10**6),
+                  st.floats(0, 1e6, allow_nan=False), st.integers(1, 5)),
+        max_size=20, unique_by=lambda row: row[:2],
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_round_trip_property(self, rows):
+        text = write_levels_csv(rows)
+        assert read_levels_csv(text) == rows
+        assert write_levels_csv(read_levels_csv(text)) == text
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,0,0.5,0\n", "line 1: level 0 outside 1..5"),
+        ("0,0,0.5,1\n0,1,0.5,9\n", "line 2: level 9 outside 1..5"),
+        ("0,0,0.5,1\n0,1,0.5,2\n0,0,0.7,3\n", "line 3: second row for annotation (0, 0)"),
+    ], ids=["level-0", "level-9", "duplicate-key"])
+    def test_bad_level_or_repeated_key_is_parse_error(self, rows, message):
+        with pytest.raises(ParseError, match=message.replace("(", r"\(").replace(")", r"\)")):
+            read_levels_csv(rows)
+
+    def test_headerless_file_reads_every_row(self):
+        headerless = self.TEXT.split("\n", 1)[1]
+        assert read_levels_csv(headerless) == read_levels_csv(self.TEXT)
+        assert len(read_levels_csv(headerless)) == 3
+
+    def test_extra_columns_ignored(self):
+        rows = read_levels_csv("t,box_index,bbofd,level,note\n0,1,0.5,2,fast\n0,2,1.5,4,x,y\n")
+        assert rows == [(0, 1, 0.5, 2), (0, 2, 1.5, 4)]
+
+
+def _via_file(reader):
+    def read(data: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(data)
+            return reader(path)
+    return read
+
+
+_GEOMETRY = FrameGeometry(8, 6, 1_000)
+_STREAM = EventStream.from_arrays(
+    _GEOMETRY, [0, 10, 10, 999], [0, 7, 3, 1], [0, 5, 2, 1], [0, 1, 1, 0])
+_BOXES = [Annotation(0, 1.5, 2.0, 3.0, 4.0, 0), Annotation(10, 0.0, 0.0, 8.0, 6.0, 2)]
+
+
+def _file_bytes(write, value) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "output"
+        write(value, path)
+        return path.read_bytes()
+
+
+# each reader, with one valid input in its format
+_READERS = {
+    "evs": (read_events_binary, write_events_binary(_STREAM)),
+    "evtn": (_via_file(read_tensor),
+             _file_bytes(write_tensor, np.arange(24, dtype=np.float32).reshape(2, 3, 4))),
+    "flow": (_via_file(read_flow),
+             _file_bytes(write_flow, FlowField.from_planes(7, np.ones((3, 4)), -np.ones((3, 4))))),
+    "events-csv": (lambda data: read_events_csv(data.decode("latin-1"), _GEOMETRY),
+                   write_events_csv(_STREAM).encode()),
+    "annotation-csv": (lambda data: read_annotations_csv(data.decode("latin-1")),
+                       write_annotations_csv(_BOXES).encode()),
+    "detection-csv": (lambda data: read_detections_csv(data.decode("latin-1")),
+                      write_detections_csv([Detection(*astuple(b), 0.5) for b in _BOXES])
+                      .encode()),
+    "levels-csv": (lambda data: read_levels_csv(data.decode("latin-1")),
+                   write_levels_csv([(0, 0, 0.25, 1), (10, 1, 3.5, 5)]).encode()),
+}
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=24)),
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    for kind, *args in mutations:
+        if kind == "truncate":
+            data = data[: args[0] % (len(data) + 1)]
+        elif kind == "flip" and data:
+            i = args[0] % len(data)
+            data = data[:i] + bytes([data[i] ^ args[1]]) + data[i + 1:]
+        elif kind == "append":
+            data += args[0]
+    return data
+
+
+@pytest.mark.parametrize("fmt", list(_READERS))
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+@example(mutations=[("append", b"\n99999999999999999999,1,1,0\n")])
+def test_any_failure_of_a_mutated_input_is_an_evrep_error(fmt, mutations):
+    """Every reader's error contract: a truncated, flipped or extended input
+    is read or raises EvrepError, which the CLI maps to exit 2."""
+    reader, valid = _READERS[fmt]
+    reader(valid)
+    try:
+        reader(_mutate(valid, mutations))
+    except EvrepError:
+        pass
