@@ -23,13 +23,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .augment import AugmentConfig, augment
-from .encoders import (
-    _check_detection_time,
-    event_count_image,
-    event_volume,
-    sae_init,
-    surface_active_events,
-)
+from .encoders import event_count_image, event_volume, sae_init, surface_active_events
 from .errors import EvrepError, InvalidParamError, MissingLevelError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
@@ -59,11 +53,11 @@ _REP_PARAMS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse terminates usage errors with status 2; this tool reserves 2
-    for data errors, so remap to 1."""
+    for data errors, so remap to 1, and print the one line every other usage
+    error prints, without argparse's usage block."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"evrep: error: {message}\n")
 
 
 def _load_stream(path: str) -> EventStream:
@@ -109,7 +103,7 @@ def _detection_times(
     if annotation_times is None:
         return detection_grid(geometry.t_max_us, params.delta_tau_us)
     for t_n in annotation_times:
-        _check_detection_time(geometry, t_n)
+        geometry.check_detection_time(t_n)
     return annotation_times
 
 
@@ -125,20 +119,17 @@ def _tensors(
     """
     geo = stream.geometry
     state = (
-        taf_init(geo, params.queue_depth, params.delta_tau_us) if rep == "taf"
-        else sae_init(geo) if rep == "sae" else None
+        taf_init(geo, params) if rep == "taf" else sae_init(geo, params) if rep == "sae" else None
     )
     for t_n in times:
         if rep == "taf":
-            tensor = temporal_active_focus(
-                stream, t_n, params.queue_depth, params.delta_tau_us, state=state
-            )
+            tensor = temporal_active_focus(stream, t_n, state)
         elif rep == "volume":
-            tensor = event_volume(stream, t_n, params.delta_tau_us, params.bins, kernel=kernel)
+            tensor = event_volume(stream, t_n, params, kernel=kernel)
         elif rep == "count":
-            tensor = event_count_image(stream, t_n, params.recent_events)
+            tensor = event_count_image(stream, t_n, params)
         else:
-            tensor = surface_active_events(stream, t_n, params.sae_decay_per_us, state=state)
+            tensor = surface_active_events(stream, t_n, state)
         yield t_n, tensor
 
 

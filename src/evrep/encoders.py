@@ -6,11 +6,14 @@ Three encoders returning float32 (C, H, W) tensors:
 * event_count_image:     2 channels; per-pixel counts of the most recent N events
 * surface_active_events: 2 channels; exp-decayed latest-event timestamps
 
-Volume and count are pure functions of (stream, t_n). SAE steps a running
-SaeState: the latest timestamp per cell, into which each call folds only the
-events since the previous call's t_n (a one-slot TAF), so a run over
-ascending detection times costs one window per step, not the whole prefix.
-Decay stays implicit until the render, as TAF's aging does.
+Volume and count are pure functions of (stream, t_n, params), where params
+is the checked EncoderParams. SAE steps a running SaeState, built by
+sae_init from the geometry and params: the latest timestamp per cell, into
+which each call folds only the events since the previous call's t_n (a
+one-slot TAF), so a run over ascending detection times costs one window per
+step, not the whole prefix. Decay stays implicit until the render, as TAF's
+aging does. No encoder checks a parameter domain; EncoderParams and
+FrameGeometry do.
 
 Channel layout is polarity-separated everywhere: volume channel c = 2b + p
 (bin 0 oldest), the two-channel encoders use channel index = polarity.
@@ -22,23 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
-from .model import EventStream, FrameGeometry, TensorCHW
-
-
-def _check_detection_time(geometry: FrameGeometry, t_n: int) -> None:
-    if not 0 <= t_n <= geometry.t_max_us:
-        raise GeometryMismatchError(
-            f"detection timestamp {t_n} outside [0, {geometry.t_max_us}]"
-        )
+from .errors import InvalidParamError, WindowOutOfOrderError
+from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW
 
 
 def event_volume(
-    stream: EventStream,
-    t_n: int,
-    delta_tau_us: int,
-    bins: int,
-    kernel: str = "rect",
+    stream: EventStream, t_n: int, params: EncoderParams, kernel: str = "rect"
 ) -> TensorCHW:
     """Accumulate events of the window [t_n - bins*delta_tau, t_n) into 2*bins channels.
 
@@ -47,14 +39,13 @@ def event_volume(
     event linearly between the two nearest bin centers; mass falling outside
     the first/last bin center is clipped.
     """
-    if delta_tau_us <= 0 or bins < 1:
-        raise InvalidParamError("delta_tau_us must be positive and bins >= 1")
     if kernel not in ("rect", "triangular"):
         raise InvalidParamError(f"unknown kernel {kernel!r}")
-    _check_detection_time(stream.geometry, t_n)
-
     geo = stream.geometry
+    geo.check_detection_time(t_n)
+
     h, w = geo.height, geo.width
+    bins, delta_tau_us = params.bins, params.delta_tau_us
     t_lo = t_n - bins * delta_tau_us
     i, j = stream.slice_range(t_lo, t_n)
     t = stream.t[i:j]
@@ -83,16 +74,14 @@ def event_volume(
     return out.astype(np.float32)
 
 
-def event_count_image(stream: EventStream, t_n: int, recent_events: int) -> TensorCHW:
+def event_count_image(stream: EventStream, t_n: int, params: EncoderParams) -> TensorCHW:
     """Per-pixel, per-polarity counts of the last min(N, available) events before t_n."""
-    if recent_events < 1:
-        raise InvalidParamError("recent_events must be >= 1")
-    _check_detection_time(stream.geometry, t_n)
-
     geo = stream.geometry
+    geo.check_detection_time(t_n)
+
     h, w = geo.height, geo.width
     j = int(np.searchsorted(stream.t, t_n, side="left"))
-    i = max(0, j - recent_events)
+    i = max(0, j - params.recent_events)
     x = stream.x[i:j].astype(np.int64)
     y = stream.y[i:j].astype(np.int64)
     p = stream.p[i:j].astype(np.int64)
@@ -107,38 +96,38 @@ class SaeState:
     """Running surface of active events; one writer, ascending detection times.
 
     latest[p*H*W + y*W + x] holds the newest timestamp of a cell's events
-    with t < t_n, or -1 if it never fired (event timestamps are >= 0).
+    with t < t_n, or -1 if it never fired (event timestamps are >= 0);
+    geometry and decay_per_us are the ones sae_init was given.
     """
 
+    geometry: FrameGeometry
+    decay_per_us: float
     latest: np.ndarray
     t_n: int = 0
 
 
-def sae_init(geometry: FrameGeometry) -> SaeState:
+def sae_init(geometry: FrameGeometry, params: EncoderParams) -> SaeState:
     """Fresh state at t_n = 0: no event folded in, every cell unseen."""
-    return SaeState(latest=np.full(2 * geometry.height * geometry.width, -1, dtype=np.int64))
+    latest = np.full(2 * geometry.height * geometry.width, -1, dtype=np.int64)
+    return SaeState(geometry, params.sae_decay_per_us, latest)
 
 
-def surface_active_events(
-    stream: EventStream, t_n: int, decay_per_us: float, state: SaeState | None = None
-) -> TensorCHW:
+def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> TensorCHW:
     """Exponentially decayed snapshot of the latest event time per (x, y, p).
 
     Cells with at least one event before t_n hold exp(decay * (t_latest - t_n));
     cells without history hold 0, the limit of the decay as the latest event
     recedes to the infinite past. All values lie in [0, 1].
 
-    ``state`` carries the latest timestamps of the previous call on the same
-    stream; only the events in [state.t_n, t_n) are folded into it, and it
-    is updated in place. None starts from a fresh state. A t_n before the
-    state's raises WindowOutOfOrderError.
+    ``state`` carries the decay, the geometry and the latest timestamps of
+    the previous call on the same stream; only the events in [state.t_n,
+    t_n) are folded into it, and it is updated in place. A stream of another
+    geometry raises GeometryMismatchError, a t_n before the state's
+    WindowOutOfOrderError.
     """
-    if not 0 < decay_per_us < np.inf:
-        raise InvalidParamError("decay_per_us must be positive and finite")
-    geo = stream.geometry
-    _check_detection_time(geo, t_n)
-    if state is None:
-        state = sae_init(geo)
+    geo = state.geometry
+    geo.check_stream(stream)
+    geo.check_detection_time(t_n)
     if t_n < state.t_n:
         raise WindowOutOfOrderError(
             f"detection timestamp {t_n} precedes the state's {state.t_n}"
@@ -156,5 +145,5 @@ def surface_active_events(
 
     out = np.zeros(2 * h * w, dtype=np.float64)
     seen = latest >= 0
-    out[seen] = np.exp(decay_per_us * (latest[seen] - float(t_n)))
+    out[seen] = np.exp(state.decay_per_us * (latest[seen] - float(t_n)))
     return out.reshape(2, h, w).astype(np.float32)

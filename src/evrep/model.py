@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import InvalidParamError
+from .errors import GeometryMismatchError, InvalidParamError
 
 # A dense channel-major float tensor: np.float32, shape (C, H, W).
 TensorCHW = np.ndarray
@@ -49,6 +49,16 @@ class FrameGeometry:
             raise InvalidParamError("frame dimensions must be positive")
         if self.t_max_us <= 0:
             raise InvalidParamError("t_max_us must be positive")
+
+    def check_detection_time(self, t_n: int) -> None:
+        """Raise GeometryMismatchError unless 0 <= t_n <= t_max_us."""
+        if not 0 <= t_n <= self.t_max_us:
+            raise GeometryMismatchError(f"detection timestamp {t_n} outside [0, {self.t_max_us}]")
+
+    def check_stream(self, stream: EventStream) -> None:
+        """Raise GeometryMismatchError unless the stream was recorded in this geometry."""
+        if stream.geometry != self:
+            raise GeometryMismatchError(f"stream geometry {stream.geometry} is not {self}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +200,10 @@ class FlowField:
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Hyper-parameters shared by the encoders.
+    """Hyper-parameters shared by the encoders, and the one check of their domains.
+
+    Every encoder takes these checked values (or a state built from them),
+    never a loose int or float, so no encoder repeats a domain check.
 
     delta_tau_us:      sampling/detection period (default 10 ms)
     bins:              temporal bin count for the event volume

@@ -19,6 +19,9 @@ its elapse exceeds any t_max, so the render's clamp turns it into 0, i.e.
 "infinitely old" (the transform's far limit), not its value at elapse 0.
 Event timestamps are non-negative, so a slot is filled iff mean_ts >= 0.
 
+taf_init builds the state from a FrameGeometry and the checked
+EncoderParams, and the state keeps both: K, dt and the render's t_max come
+from it, so no call here takes them again or checks their domains.
 temporal_active_focus reads the tensor at any ascending detection time t_n:
 it steps every full period that ends at or before t_n, and off the grid it
 pushes the open period [k*dt, t_n) as each fired cell's newest slot for the
@@ -32,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import _check_detection_time
 from .errors import InvalidParamError, WindowOutOfOrderError
-from .model import EventStream, FrameGeometry, TensorCHW, WindowView
+from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, WindowView
 
 # Far-past timestamp of an empty slot (µs). Finite on purpose: numpy's log1p
 # takes a slow path on inf, and 1e30 µs already lies past any u64 t_max.
@@ -81,19 +83,15 @@ class TafState:
         return self.step_index * self.delta_tau_us
 
 
-def taf_init(geometry: FrameGeometry, queue_depth: int, delta_tau_us: int) -> TafState:
+def taf_init(geometry: FrameGeometry, params: EncoderParams) -> TafState:
     """Fresh state with every queue empty and the step counter at zero."""
-    if queue_depth < 1:
-        raise InvalidParamError("queue_depth must be >= 1")
-    if delta_tau_us <= 0:
-        raise InvalidParamError("delta_tau_us must be positive")
-    h, w = geometry.height, geometry.width
+    k, h, w = params.queue_depth, geometry.height, geometry.width
     return TafState(
         geometry=geometry,
-        queue_depth=queue_depth,
-        delta_tau_us=delta_tau_us,
+        queue_depth=k,
+        delta_tau_us=params.delta_tau_us,
         step_index=0,
-        mean_ts=np.full((queue_depth, 2, h, w), _EMPTY, dtype=np.float64),
+        mean_ts=np.full((k, 2, h, w), _EMPTY, dtype=np.float64),
     )
 
 
@@ -160,16 +158,15 @@ def taf_step(state: TafState, window: WindowView) -> TafState:
     return state
 
 
-def taf_render(state: TafState, t_max_us: int, t_n: int | None = None) -> TensorCHW:
+def taf_render(state: TafState, t_n: int | None = None) -> TensorCHW:
     """Render the state at t_n (default: its detection time) into a float32
     (2K, H, W) tensor.
 
     Channel c holds polarity c % 2 at slot c // 2 (slot 0 newest). Filled
-    slots hold transform_elapse of their entry's elapse to t_n; empty slots
-    hold 0.
+    slots hold transform_elapse of their entry's elapse to t_n, against the
+    t_max of the state's geometry; empty slots hold 0.
     """
-    if t_max_us <= 0:
-        raise InvalidParamError("t_max_us must be positive")
+    t_max_us = state.geometry.t_max_us
     t_now = float(state.detection_time_us if t_n is None else t_n)
     # elapses stay float64 (timestamps need it); once scaled by 1e-4 the
     # argument is small enough that float32 log1p costs < 1e-7 of accuracy
@@ -182,27 +179,21 @@ def taf_render(state: TafState, t_max_us: int, t_n: int | None = None) -> Tensor
     return rendered.reshape(2 * state.queue_depth, h, w)
 
 
-def temporal_active_focus(
-    stream: EventStream,
-    t_n: int,
-    queue_depth: int,
-    delta_tau_us: int,
-    state: TafState | None = None,
-) -> TensorCHW:
+def temporal_active_focus(stream: EventStream, t_n: int, state: TafState) -> TensorCHW:
     """TAF tensor at t_n: for each (p, y, x), the K most recent non-empty
     delta_tau-aligned periods of the events with t < t_n, each as its mean
     elapse to t_n; the newest may be the open period [k*delta_tau, t_n).
 
-    ``state`` (None: a fresh one) is stepped in place through every full
-    period that ends at or before t_n. The open period is pushed into the
-    cells that fired in it for the render only, then those cells are
-    restored. A t_n before the end of the state's last full period raises
-    WindowOutOfOrderError.
+    ``state`` carries K, delta_tau and the geometry, and is stepped in place
+    through every full period that ends at or before t_n. The open period is
+    pushed into the cells that fired in it for the render only, then those
+    cells are restored. A stream of another geometry raises
+    GeometryMismatchError; a t_n before the end of the state's last full
+    period raises WindowOutOfOrderError.
     """
-    geo = stream.geometry
-    _check_detection_time(geo, t_n)
-    if state is None:
-        state = taf_init(geo, queue_depth, delta_tau_us)
+    geo, delta_tau_us = state.geometry, state.delta_tau_us
+    geo.check_stream(stream)
+    geo.check_detection_time(t_n)
     if t_n < state.detection_time_us:
         raise WindowOutOfOrderError(
             f"detection timestamp {t_n} precedes the state's {state.detection_time_us}"
@@ -213,14 +204,14 @@ def temporal_active_focus(
         taf_step(state, WindowView.from_stream(stream, t_hi - delta_tau_us, t_hi, t_hi))
     t_lo = state.detection_time_us
     if t_n == t_lo:  # on the grid: no open window is built
-        return taf_render(state, geo.t_max_us)
+        return taf_render(state)
     window = WindowView.from_stream(stream, t_lo, t_n, t_n)
     if not len(window):
-        return taf_render(state, geo.t_max_us, t_n)
+        return taf_render(state, t_n)
     active, mu = _window_mean_timestamps(window, geo.height, geo.width)
     slots = state.mean_ts.reshape(state.queue_depth, -1)
     saved = slots[:, active]
     _push(state, active, mu)
-    tensor = taf_render(state, geo.t_max_us, t_n)
+    tensor = taf_render(state, t_n)
     slots[:, active] = saved
     return tensor

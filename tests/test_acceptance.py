@@ -12,7 +12,7 @@ import numpy as np
 
 from evrep.augment import AugmentConfig, augment, flip_h
 from evrep.bfm import bfm_forward, random_weights
-from evrep.encoders import event_count_image, event_volume, surface_active_events
+from evrep.encoders import event_count_image, event_volume, sae_init, surface_active_events
 from evrep.evalmap import EvalConfig, map_metric
 from evrep.io import (
     read_annotations_csv,
@@ -28,7 +28,15 @@ from evrep.io import (
     write_flow,
     write_tensor,
 )
-from evrep.model import Annotation, Detection, EventStream, FlowField, FrameGeometry, WindowView
+from evrep.model import (
+    Annotation,
+    Detection,
+    EncoderParams,
+    EventStream,
+    FlowField,
+    FrameGeometry,
+    WindowView,
+)
 from evrep.motion import motion_levels
 from evrep.taf import taf_init, taf_render, taf_step, transform_elapse
 
@@ -57,11 +65,11 @@ def criterion(name):
 
 
 def _run_incremental(stream, n_steps, queue_depth):
-    state = taf_init(stream.geometry, queue_depth, DT)
+    state = taf_init(stream.geometry, EncoderParams(delta_tau_us=DT, queue_depth=queue_depth))
     for n in range(n_steps):
         window = WindowView.from_stream(stream, n * DT, (n + 1) * DT, (n + 1) * DT)
         taf_step(state, window)
-    return taf_render(state, T_MAX)
+    return taf_render(state)
 
 
 @criterion("taf-equivalence: incremental == batch oracle on >=50 random streams")
@@ -115,7 +123,7 @@ def test_representation_timing():
         rng.integers(0, 2, n),
     )
 
-    state = taf_init(SENSOR, 4, DT)
+    state = taf_init(SENSOR, EncoderParams(delta_tau_us=DT, queue_depth=4))
     samples = []
     for i in range(n_windows):
         window = WindowView.from_stream(stream, i * DT, (i + 1) * DT, (i + 1) * DT)
@@ -127,15 +135,16 @@ def test_representation_timing():
     assert median < 10.0, f"taf step median {median:.2f} ms"
 
     t_n = 10 * DT
-    event_volume(stream, t_n, DT, 5)
-    event_count_image(stream, t_n, 50_000)
+    params = EncoderParams(delta_tau_us=DT, bins=5, recent_events=50_000)
+    event_volume(stream, t_n, params)
+    event_count_image(stream, t_n, params)
     vol, cnt = [], []
     for _ in range(9):
         t0 = time.perf_counter()
-        event_volume(stream, t_n, DT, 5)
+        event_volume(stream, t_n, params)
         vol.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        event_count_image(stream, t_n, 50_000)
+        event_count_image(stream, t_n, params)
         cnt.append(time.perf_counter() - t0)
     assert sorted(cnt)[4] < sorted(vol)[4]
 
@@ -149,12 +158,12 @@ def test_encoder_mass_conservation():
         t_n = int(rng.integers(1, geo.t_max_us))
         dt = int(rng.integers(1_000, 100_000))
         b = int(rng.integers(1, 7))
-        volume = event_volume(stream, t_n, dt, b)
+        volume = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b))
         in_window = int(np.sum((stream.t >= t_n - b * dt) & (stream.t < t_n)))
         assert float(volume.sum()) == in_window
 
         n = int(rng.integers(1, 1500))
-        image = event_count_image(stream, t_n, n)
+        image = event_count_image(stream, t_n, EncoderParams(recent_events=n))
         available = int(np.searchsorted(stream.t, t_n, side="left"))
         assert float(image.sum()) == min(n, available)
 
@@ -165,7 +174,8 @@ def test_sae_range_and_recency_monotonicity():
     geo = FrameGeometry(32, 24, 1_000_000)
     stream = make_random_stream(rng, geo, 2_000)
     t_n = 900_000
-    base = surface_active_events(stream, t_n, 1e-5)
+    params = EncoderParams(sae_decay_per_us=1e-5)
+    base = surface_active_events(stream, t_n, sae_init(geo, params))
     assert np.all(base >= 0.0) and np.all(base <= 1.0)
 
     eligible = np.nonzero(stream.t < t_n)[0]
@@ -187,7 +197,7 @@ def test_sae_range_and_recency_monotonicity():
             np.insert(y2, pos, y),
             np.insert(p2, pos, p),
         )
-        value = surface_active_events(bumped, t_n, 1e-5)[p, y, x]
+        value = surface_active_events(bumped, t_n, sae_init(geo, params))[p, y, x]
         assert value >= base[p, y, x]
         assert 0.0 <= value <= 1.0
 

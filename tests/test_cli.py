@@ -23,7 +23,7 @@ from evrep.io import (
     write_flow,
     write_tensor,
 )
-from evrep.model import Annotation, Detection, EventStream, FlowField, FrameGeometry
+from evrep.model import Annotation, Detection, EncoderParams, EventStream, FlowField, FrameGeometry
 
 from conftest import make_random_stream
 from taf_oracle import taf_batch_oracle
@@ -230,11 +230,12 @@ class TestEncode:
         stream = read_events_binary(one_second_stream.read_bytes())
         files = sorted(out.glob("*.evtn"))
         assert len(files) == 10
+        params = EncoderParams(delta_tau_us=100_000, bins=3)
         for path in files:
             t_n = int(path.stem.rsplit("_", 1)[1])
-            expected = event_volume(stream, t_n, 100_000, 3, kernel="triangular")
+            expected = event_volume(stream, t_n, params, kernel="triangular")
             assert np.array_equal(read_tensor(path), expected)
-        rect = event_volume(stream, 1_000_000, 100_000, 3)
+        rect = event_volume(stream, 1_000_000, params)
         assert not np.array_equal(read_tensor(out / "events_1000000.evtn"), rect)
 
     def test_config_value_of_wrong_type_is_usage_error(self, one_second_stream, tmp_path, capsys):
@@ -532,11 +533,17 @@ class TestExitCodes:
          "--bins", "1000000000000000"],
         ["encode", "--rep", "volume", "--events", "{events}", "--out-dir", "{out}",
          "--delta-tau-us", str(2**62), "--at-annotations", "{late}"],
+        ["augment", "--input", "{tensor}", "--output", "{out}/a.evtn", "--p2", "-1e300"],
+        ["encode", "--rep", "sae", "--events", "{events}", "--out-dir", "{out}",
+         "--sae-decay", "-inf"],
+        ["encode", "--rep", "hologram", "--events", "{events}", "--out-dir", "{out}"],
     ], ids=["encode-delta-tau", "eval-tolerance", "augment-p1", "bench-warmup",
             "bench-steps", "encode-jobs", "eval-width", "augment-alpha-nan", "augment-alpha-inf",
             "augment-config-alpha-nan", "encode-sae-decay-nan", "encode-sae-decay-inf",
             "augment-alpha-1e300", "augment-seed-negative", "encode-queue-depth-1e15",
-            "encode-bins-1e15", "encode-volume-window-past-int64"])
+            "encode-bins-1e15", "encode-volume-window-past-int64",
+            "argparse-augment-p2-negative-exponent", "argparse-encode-sae-decay-minus-inf",
+            "argparse-encode-unknown-rep"])
     def test_parameter_error_is_usage_error(self, argv, one_second_stream, tmp_path, capsys):
         tensor = tmp_path / "in.evtn"
         write_tensor(np.zeros((2, 4, 4), dtype=np.float32), tensor)
@@ -550,7 +557,11 @@ class TestExitCodes:
             "dets": FIXTURES / "golden_eval" / "detections.csv",
             "anns": FIXTURES / "golden_eval" / "annotations.csv",
         }
-        assert _run(*(arg.format(**paths) for arg in argv)) == 1
+        try:
+            code = _run(*(arg.format(**paths) for arg in argv))
+        except SystemExit as exc:  # a usage error argparse finds ends in the parser
+            code = exc.code
+        assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("evrep: error: ")
         assert len(err.splitlines()) == 1

@@ -5,10 +5,12 @@ import pytest
 
 from evrep.encoders import event_count_image, event_volume, sae_init, surface_active_events
 from evrep.errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
-from evrep.model import EventStream, FrameGeometry
+from evrep.model import EncoderParams, EventStream, FrameGeometry
 
 from conftest import make_random_stream
 from encoders_oracle import sae_batch_oracle
+
+PARAMS = EncoderParams(delta_tau_us=10_000, bins=5, sae_decay_per_us=1e-5)
 
 
 def _window_count(stream, t_lo, t_hi) -> int:
@@ -18,7 +20,7 @@ def _window_count(stream, t_lo, t_hi) -> int:
 class TestEventVolume:
     def test_empty_stream_gives_zero_tensor(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [], [], [], [])
-        vol = event_volume(stream, 500_000, 10_000, 5)
+        vol = event_volume(stream, 500_000, PARAMS)
         assert vol.shape == (10, small_geometry.height, small_geometry.width)
         assert not vol.any()
 
@@ -28,7 +30,7 @@ class TestEventVolume:
             t_n = int(rng.integers(1, small_geometry.t_max_us))
             dt = int(rng.integers(1000, 100_000))
             b = int(rng.integers(1, 8))
-            vol = event_volume(stream, t_n, dt, b)
+            vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b))
             assert vol.sum() == _window_count(stream, t_n - b * dt, t_n)
 
     def test_default_bin_placement(self):
@@ -36,7 +38,7 @@ class TestEventVolume:
         geo = FrameGeometry(8, 8, 1_000_000)
         t_n = 200_000
         stream = EventStream.from_arrays(geo, [t_n - 1], [3], [4], [1])
-        vol = event_volume(stream, t_n, 10_000, 5)
+        vol = event_volume(stream, t_n, PARAMS)
         assert vol[9, 4, 3] == 1.0
         assert vol.sum() == 1.0
 
@@ -44,13 +46,13 @@ class TestEventVolume:
         geo = FrameGeometry(4, 4, 1_000_000)
         t_n = 50_000
         stream = EventStream.from_arrays(geo, [0, 49_999], [0, 0], [0, 0], [0, 0])
-        vol = event_volume(stream, t_n, 10_000, 5)
+        vol = event_volume(stream, t_n, PARAMS)
         assert vol[0, 0, 0] == 1.0   # event at t=0 -> oldest bin
         assert vol[8, 0, 0] == 1.0   # event just before t_n -> newest bin
 
     def test_events_outside_window_ignored(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [100, 900_000], [1, 1], [1, 1], [0, 0])
-        vol = event_volume(stream, 500_000, 10_000, 5)
+        vol = event_volume(stream, 500_000, PARAMS)
         assert vol.sum() == 0.0
 
     def test_triangular_conserves_interior_mass(self, rng, small_geometry):
@@ -65,7 +67,7 @@ class TestEventVolume:
             rng.integers(0, small_geometry.height, 500),
             rng.integers(0, 2, 500),
         )
-        vol = event_volume(stream, t_n, dt, b, kernel="triangular")
+        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b), kernel="triangular")
         assert math.isclose(float(vol.sum()), 500.0, rel_tol=1e-4)
 
     def test_triangular_splits_between_bin_centers(self):
@@ -74,24 +76,24 @@ class TestEventVolume:
         t_n = 20_000
         # event at 12 500 sits 3/4 of the way from bin-0 center to bin-1 center
         stream = EventStream.from_arrays(geo, [12_500], [2], [1], [0])
-        vol = event_volume(stream, t_n, dt, b, kernel="triangular")
+        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b), kernel="triangular")
         assert math.isclose(float(vol[0, 1, 2]), 0.25, abs_tol=1e-7)
         assert math.isclose(float(vol[2, 1, 2]), 0.75, abs_tol=1e-7)
 
     def test_detection_time_validated(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 10)
         with pytest.raises(GeometryMismatchError):
-            event_volume(stream, small_geometry.t_max_us + 1, 10_000, 5)
+            event_volume(stream, small_geometry.t_max_us + 1, PARAMS)
 
     def test_unknown_kernel(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 10)
         with pytest.raises(InvalidParamError):
-            event_volume(stream, 1000, 10_000, 5, kernel="gauss")
+            event_volume(stream, 1000, PARAMS, kernel="gauss")
 
     def test_purity(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 500)
-        a = event_volume(stream, 800_000, 10_000, 5)
-        b = event_volume(stream, 800_000, 10_000, 5)
+        a = event_volume(stream, 800_000, PARAMS)
+        b = event_volume(stream, 800_000, PARAMS)
         assert np.array_equal(a, b)
 
 
@@ -100,7 +102,7 @@ def test_triangular_matches_per_event_oracle(rng, small_geometry):
     dt, bins = 10_000, 4
     t_n = 600_000
     stream = make_random_stream(rng, small_geometry, 400)
-    got = event_volume(stream, t_n, dt, bins, kernel="triangular")
+    got = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=bins), kernel="triangular")
 
     want = np.zeros_like(got, dtype=np.float64)
     t_lo = t_n - bins * dt
@@ -122,9 +124,9 @@ def test_triangular_matches_per_event_oracle(rng, small_geometry):
 def test_all_encoders_pure(rng, small_geometry):
     stream = make_random_stream(rng, small_geometry, 600)
     for encode in (
-        lambda: event_volume(stream, 700_000, 10_000, 5, kernel="triangular"),
-        lambda: event_count_image(stream, 700_000, 250),
-        lambda: surface_active_events(stream, 700_000, 1e-5),
+        lambda: event_volume(stream, 700_000, PARAMS, kernel="triangular"),
+        lambda: event_count_image(stream, 700_000, EncoderParams(recent_events=250)),
+        lambda: surface_active_events(stream, 700_000, sae_init(stream.geometry, PARAMS)),
     ):
         assert np.array_equal(encode(), encode())
 
@@ -133,7 +135,7 @@ class TestEventCountImage:
     def test_fewer_events_than_n(self, small_geometry):
         t = [10, 20, 30, 40, 50]
         stream = EventStream.from_arrays(small_geometry, t, [1] * 5, [2] * 5, [1] * 5)
-        img = event_count_image(stream, 100, 10)
+        img = event_count_image(stream, 100, EncoderParams(recent_events=10))
         assert img.sum() == 5.0
         assert img[1, 2, 1] == 5.0
 
@@ -147,7 +149,7 @@ class TestEventCountImage:
             [3, 3, 3, 6, 6],
             [1, 1, 1, 0, 0],
         )
-        img = event_count_image(stream, 10, 4)
+        img = event_count_image(stream, 10, EncoderParams(recent_events=4))
         assert img[1, 3, 2] == 2.0
         assert img[0, 6, 5] == 2.0
         assert img.sum() == 4.0
@@ -157,38 +159,40 @@ class TestEventCountImage:
             stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 1500)))
             t_n = int(rng.integers(1, small_geometry.t_max_us))
             n = int(rng.integers(1, 2000))
-            img = event_count_image(stream, t_n, n)
+            img = event_count_image(stream, t_n, EncoderParams(recent_events=n))
             available = int(np.searchsorted(stream.t, t_n, side="left"))
             assert img.sum() == min(n, available)
 
     def test_invariant_to_future_events(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 800)
         t_n = 500_000
-        before = event_count_image(stream, t_n, 100)
+        before = event_count_image(stream, t_n, EncoderParams(recent_events=100))
         # replay with the future suffix removed
         keep = stream.t < t_n
         trimmed = EventStream.from_arrays(
             small_geometry, stream.t[keep], stream.x[keep], stream.y[keep], stream.p[keep]
         )
-        assert np.array_equal(before, event_count_image(trimmed, t_n, 100))
+        assert np.array_equal(
+            before, event_count_image(trimmed, t_n, EncoderParams(recent_events=100))
+        )
 
 
 class TestSurfaceActiveEvents:
     def test_event_one_microsecond_old(self, small_geometry):
         t_n = 100_000
         stream = EventStream.from_arrays(small_geometry, [t_n - 1], [3], [4], [1])
-        surf = surface_active_events(stream, t_n, 1e-5)
+        surf = surface_active_events(stream, t_n, sae_init(stream.geometry, PARAMS))
         assert math.isclose(float(surf[1, 4, 3]), math.exp(-1e-5), rel_tol=1e-6)
 
     def test_decay_at_tenth_of_second(self, small_geometry):
         t_n = 200_000
         stream = EventStream.from_arrays(small_geometry, [t_n - 100_000], [0], [0], [0])
-        surf = surface_active_events(stream, t_n, 1e-5)
+        surf = surface_active_events(stream, t_n, sae_init(stream.geometry, PARAMS))
         assert math.isclose(float(surf[0, 0, 0]), math.exp(-1.0), rel_tol=1e-6)
 
     def test_empty_cells_hold_zero(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [10], [3], [4], [1])
-        surf = surface_active_events(stream, 100, 1e-5)
+        surf = surface_active_events(stream, 100, sae_init(stream.geometry, PARAMS))
         assert np.count_nonzero(surf) == 1
 
     def test_only_latest_timestamp_counts(self, small_geometry):
@@ -196,13 +200,13 @@ class TestSurfaceActiveEvents:
         stream = EventStream.from_arrays(
             small_geometry, [10, 50_000, 99_999], [3, 3, 3], [4, 4, 4], [1, 1, 1]
         )
-        surf = surface_active_events(stream, t_n, 1e-5)
+        surf = surface_active_events(stream, t_n, sae_init(stream.geometry, PARAMS))
         assert math.isclose(float(surf[1, 4, 3]), math.exp(-1e-5), rel_tol=1e-6)
 
     def test_range_and_monotonicity(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 1500)
         t_n = 900_000
-        surf = surface_active_events(stream, t_n, 1e-5)
+        surf = surface_active_events(stream, t_n, sae_init(stream.geometry, PARAMS))
         assert np.all(surf >= 0.0) and np.all(surf <= 1.0)
         # making one pixel's history more recent never decreases its value
         # bump the last pre-t_n event; order is preserved so pairings survive
@@ -213,7 +217,7 @@ class TestSurfaceActiveEvents:
         bumped = EventStream.from_arrays(small_geometry, t2, stream.x, stream.y, stream.p)
         # same pixel set; only the bumped pixel may change, and only upward
         x, y, p = int(stream.x[idx]), int(stream.y[idx]), int(stream.p[idx])
-        surf2 = surface_active_events(bumped, t_n, 1e-5)
+        surf2 = surface_active_events(bumped, t_n, sae_init(bumped.geometry, PARAMS))
         assert surf2[p, y, x] >= surf[p, y, x]
 
 
@@ -261,24 +265,26 @@ class TestSaeIncremental:
         for _ in range(40):
             stream = _bursty_stream(rng, geo)
             decay = float(10 ** rng.uniform(-6, -3))
-            state = sae_init(geo)
+            state = sae_init(geo, EncoderParams(sae_decay_per_us=decay))
             for t_n in _ascending_times(rng, stream):
-                got = surface_active_events(stream, t_n, decay, state=state)
+                got = surface_active_events(stream, t_n, state)
                 assert np.array_equal(got, sae_batch_oracle(stream, t_n, decay)), t_n
 
     def test_out_of_order_time_raises(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 500)
-        state = sae_init(small_geometry)
-        surface_active_events(stream, 500_000, 1e-5, state=state)
+        state = sae_init(small_geometry, PARAMS)
+        surface_active_events(stream, 500_000, state)
         with pytest.raises(WindowOutOfOrderError):
-            surface_active_events(stream, 499_999, 1e-5, state=state)
+            surface_active_events(stream, 499_999, state)
         # the rejected call leaves the state as it was
         assert state.t_n == 500_000
-        got = surface_active_events(stream, 600_000, 1e-5, state=state)
+        got = surface_active_events(stream, 600_000, state)
         assert np.array_equal(got, sae_batch_oracle(stream, 600_000, 1e-5))
 
-    @pytest.mark.parametrize("decay", [0.0, math.nan, math.inf])
-    def test_decay_must_be_positive_and_finite(self, decay, small_geometry):
-        stream = EventStream.from_arrays(small_geometry, [], [], [], [])
-        with pytest.raises(InvalidParamError):
-            surface_active_events(stream, 0, decay)
+    def test_stream_of_another_geometry_raises(self, rng, small_geometry):
+        state = sae_init(small_geometry, PARAMS)
+        larger = FrameGeometry(64, 48, 1_000_000)  # small_geometry is 32 x 24
+        stream = make_random_stream(rng, larger, 500)
+        with pytest.raises(GeometryMismatchError):
+            surface_active_events(stream, 500_000, state)
+        assert state.t_n == 0

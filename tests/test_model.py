@@ -44,13 +44,24 @@ class TestInvariants:
         Detection(0, 1.0, 1.0, 5.0, 5.0, 0, 1.0)
 
     def test_encoder_params_domains(self):
-        with pytest.raises(InvalidParamError):
-            EncoderParams(delta_tau_us=0)
-        with pytest.raises(InvalidParamError):
-            EncoderParams(queue_depth=0)
+        # the one check of each encoder domain: no encoder repeats it
+        for bad in (
+            {"delta_tau_us": 0},
+            {"bins": 0},
+            {"bins": 2**31},  # 2 * bins channels must fit a .evtn header's u32
+            {"queue_depth": 0},
+            {"queue_depth": 2**31},
+            {"recent_events": 0},
+            {"bins": 2, "delta_tau_us": 2**62},  # the volume window reaches 2**63 µs
+        ):
+            with pytest.raises(InvalidParamError):
+                EncoderParams(**bad)
         for decay in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidParamError):
                 EncoderParams(sae_decay_per_us=decay)
+        # the largest values inside every bound are accepted
+        EncoderParams(bins=2**31 - 1, queue_depth=2**31 - 1, delta_tau_us=1)
+        EncoderParams(bins=1, delta_tau_us=2**63 - 1, recent_events=1)
 
     def test_stream_arrays_are_read_only(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 10)

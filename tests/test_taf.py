@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evrep.errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
-from evrep.model import EventStream, FrameGeometry, WindowView
+from evrep.model import EncoderParams, EventStream, FrameGeometry, WindowView
 from evrep.taf import taf_init, taf_render, taf_step, temporal_active_focus, transform_elapse
 
 from conftest import make_random_stream
@@ -12,10 +12,11 @@ from taf_oracle import taf_batch_oracle
 
 T_MAX = 60_000_000
 DT = 10_000
+PARAMS = EncoderParams(delta_tau_us=DT, queue_depth=4)
 
 
 def _run_incremental(stream, n_steps, queue_depth, dt=DT):
-    state = taf_init(stream.geometry, queue_depth, dt)
+    state = taf_init(stream.geometry, EncoderParams(delta_tau_us=dt, queue_depth=queue_depth))
     for n in range(n_steps):
         window = WindowView.from_stream(stream, n * dt, (n + 1) * dt, (n + 1) * dt)
         taf_step(state, window)
@@ -55,20 +56,16 @@ class TestTransform:
 
 class TestInitAndRender:
     def test_init_creates_empty_queues(self, sensor_geometry):
-        state = taf_init(sensor_geometry, 4, DT)
+        state = taf_init(sensor_geometry, PARAMS)
         assert state.mean_ts.shape == (4, 2, 240, 304)
         assert not (state.mean_ts >= 0).any()
         assert state.step_index == 0
 
     def test_fresh_state_renders_zero(self, sensor_geometry):
-        state = taf_init(sensor_geometry, 4, DT)
-        tensor = taf_render(state, T_MAX)
+        state = taf_init(sensor_geometry, PARAMS)
+        tensor = taf_render(state)
         assert tensor.shape == (8, 240, 304)
         assert not tensor.any()
-
-    def test_zero_queue_depth_rejected(self, sensor_geometry):
-        with pytest.raises(InvalidParamError):
-            taf_init(sensor_geometry, 0, DT)
 
     def test_channel_layout(self):
         # single entry with elapse 10^4 at p=1 lands in channel 1 (slot 0)
@@ -76,7 +73,7 @@ class TestInitAndRender:
         stream = EventStream.from_arrays(geo, [0], [3], [5], [1])
         state = _run_incremental(stream, 2, queue_depth=4)
         # entry pushed at step 1; after step 2 its elapse is 2*DT - 0 = 20 000
-        tensor = taf_render(state, T_MAX)
+        tensor = taf_render(state)
         assert tensor[1, 5, 3] > 0
         assert np.count_nonzero(tensor) == 1
 
@@ -84,7 +81,7 @@ class TestInitAndRender:
         geo = FrameGeometry(4, 4, T_MAX)
         stream = EventStream.from_arrays(geo, [0], [1], [1], [1])
         state = _run_incremental(stream, 1, queue_depth=4)
-        tensor = taf_render(state, T_MAX)
+        tensor = taf_render(state)
         assert math.isclose(
             float(tensor[1, 1, 1]), transform_elapse(10_000, T_MAX), rel_tol=1e-6
         )
@@ -92,17 +89,17 @@ class TestInitAndRender:
     def test_render_idempotent(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 2000)
         state = _run_incremental(stream, 40, queue_depth=4)
-        a = taf_render(state, T_MAX)
-        b = taf_render(state, T_MAX)
+        a = taf_render(state)
+        b = taf_render(state)
         assert np.array_equal(a, b)
 
     def test_writing_into_returned_tensor_leaves_next_render(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 2000)
         state = _run_incremental(stream, 40, queue_depth=4)
-        first = taf_render(state, T_MAX)
+        first = taf_render(state)
         expected = first.copy()
         first[...] = 7.0
-        assert np.array_equal(taf_render(state, T_MAX), expected)
+        assert np.array_equal(taf_render(state), expected)
 
 
 class TestStep:
@@ -138,14 +135,14 @@ class TestStep:
         assert _slot_elapses(state, 0, 0, 0) == [5_000.0, 15_000.0]
 
     def test_window_out_of_order(self, small_geometry):
-        state = taf_init(small_geometry, 4, DT)
+        state = taf_init(small_geometry, PARAMS)
         stream = EventStream.from_arrays(small_geometry, [], [], [], [])
         bad = WindowView.from_stream(stream, DT, 2 * DT, 2 * DT)  # state expects [0, DT)
         with pytest.raises(WindowOutOfOrderError):
             taf_step(state, bad)
 
     def test_window_lying_about_bounds_rejected(self, small_geometry):
-        state = taf_init(small_geometry, 4, DT)
+        state = taf_init(small_geometry, PARAMS)
         lying = WindowView(
             t=np.array([3 * DT], dtype=np.int64),
             x=np.array([0], dtype=np.int32),
@@ -168,7 +165,7 @@ class TestStep:
     def test_per_position_independence(self, rng):
         geo = FrameGeometry(8, 8, T_MAX)
         stream = make_random_stream(rng, geo, 400, t_hi=300_000)
-        base = taf_render(_run_incremental(stream, 30, 4), T_MAX)
+        base = taf_render(_run_incremental(stream, 30, 4))
 
         # drop every event at one busy cell and re-encode
         cells, counts = np.unique(
@@ -179,7 +176,7 @@ class TestStep:
         trimmed = EventStream.from_arrays(
             geo, stream.t[keep], stream.x[keep], stream.y[keep], stream.p[keep]
         )
-        other = taf_render(_run_incremental(trimmed, 30, 4), T_MAX)
+        other = taf_render(_run_incremental(trimmed, 30, 4))
 
         diff = base != other
         changed = np.argwhere(diff)
@@ -213,8 +210,8 @@ class TestBatchOracle:
         # K=1 with ~1000 events per window, above the 2*H*W/8 dense threshold
         cases.append((make_random_stream(rng, small_geometry, 3000, t_hi=3 * DT), 3, 1))
         for stream, n_steps, k in cases:
-            inc = taf_render(_run_incremental(stream, n_steps, k), T_MAX)
-            oracle = taf_batch_oracle(stream, n_steps * DT, DT, k, T_MAX)
+            inc = taf_render(_run_incremental(stream, n_steps, k))
+            oracle = taf_batch_oracle(stream, n_steps * DT, DT, k, stream.geometry.t_max_us)
             assert np.max(np.abs(inc - oracle)) <= 1e-6
 
 
@@ -231,38 +228,48 @@ class TestTemporalActiveFocus:
             if len(stream):
                 picks += rng.choice(stream.t, size=3).tolist()  # event timestamps
             picks += picks[1:4]  # repeated times
-            state = taf_init(geo, k, dt)
+            state = taf_init(geo, EncoderParams(delta_tau_us=dt, queue_depth=k))
             for t_n in sorted(picks):
-                got = temporal_active_focus(stream, t_n, k, dt, state=state)
+                got = temporal_active_focus(stream, t_n, state)
                 want = taf_batch_oracle(stream, t_n, dt, k, t_max)
                 assert np.max(np.abs(got - want)) <= 1e-6, (i, t_n)
 
     def test_open_period_leaves_the_state_as_the_grid_does(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 2000)
-        state = taf_init(small_geometry, 4, DT)
-        temporal_active_focus(stream, 3 * DT + 4_321, 4, DT, state=state)
+        state = taf_init(small_geometry, PARAMS)
+        temporal_active_focus(stream, 3 * DT + 4_321, state)
         assert state.step_index == 3
         assert np.array_equal(state.mean_ts, _run_incremental(stream, 3, 4).mean_ts)
 
     def test_time_before_the_state_is_out_of_order(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 500)
-        state = taf_init(small_geometry, 4, DT)
-        temporal_active_focus(stream, 2 * DT + 1, 4, DT, state=state)
-        temporal_active_focus(stream, 2 * DT, 4, DT, state=state)  # same full periods
+        state = taf_init(small_geometry, PARAMS)
+        temporal_active_focus(stream, 2 * DT + 1, state)
+        temporal_active_focus(stream, 2 * DT, state)  # same full periods
         with pytest.raises(WindowOutOfOrderError):
-            temporal_active_focus(stream, 2 * DT - 1, 4, DT, state=state)
+            temporal_active_focus(stream, 2 * DT - 1, state)
 
     def test_time_past_t_max_is_rejected(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [], [], [], [])
         with pytest.raises(GeometryMismatchError):
-            temporal_active_focus(stream, small_geometry.t_max_us + 1, 4, DT)
+            temporal_active_focus(
+                stream, small_geometry.t_max_us + 1, taf_init(small_geometry, PARAMS)
+            )
+
+    def test_stream_of_another_geometry_raises(self, rng, small_geometry):
+        state = taf_init(small_geometry, PARAMS)
+        larger = FrameGeometry(64, 48, 1_000_000)  # small_geometry is 32 x 24
+        stream = make_random_stream(rng, larger, 500)
+        with pytest.raises(GeometryMismatchError):
+            temporal_active_focus(stream, 500_000, state)
+        assert state.step_index == 0
 
 
 def test_temporal_active_focus_on_grid_equals_step_and_render(rng, small_geometry):
     stream = make_random_stream(rng, small_geometry, 1000)
-    state = taf_init(small_geometry, 4, DT)
-    plain = taf_init(small_geometry, 4, DT)
+    state = taf_init(small_geometry, PARAMS)
+    plain = taf_init(small_geometry, PARAMS)
     for n in range(1, 6):
-        got = temporal_active_focus(stream, n * DT, 4, DT, state=state)
+        got = temporal_active_focus(stream, n * DT, state)
         taf_step(plain, WindowView.from_stream(stream, (n - 1) * DT, n * DT, n * DT))
-        assert np.array_equal(got, taf_render(plain, small_geometry.t_max_us))
+        assert np.array_equal(got, taf_render(plain))
