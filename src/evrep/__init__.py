@@ -9,7 +9,6 @@ from .evalmap import (
     EvalConfig,
     EvalResult,
     LevelEvalResult,
-    average_precision,
     iou,
     map_by_level,
     map_metric,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamError, OffsetOutOfRangeError
+from .errors import EvrepError, InvalidParamError
 from .model import TensorCHW
 
 # floor(scale * n) fits int64 for every size n a .evtn header holds (u32)
@@ -59,9 +59,7 @@ def resize_crop(tensor: TensorCHW, scale: float, offsets: tuple[int, int]) -> Te
     h_up = math.floor(scale * h)
     w_up = math.floor(scale * w)
     if not 0 <= y_off <= h_up - h or not 0 <= x_off <= w_up - w:
-        raise OffsetOutOfRangeError(
-            f"offsets {offsets} outside [0, {h_up - h}] x [0, {w_up - w}]"
-        )
+        raise EvrepError(f"offsets {offsets} outside [0, {h_up - h}] x [0, {w_up - w}]")
     rows = (np.arange(y_off, y_off + h) / scale).astype(np.int64)
     cols = (np.arange(x_off, x_off + w) / scale).astype(np.int64)
     return np.ascontiguousarray(tensor[:, rows[:, None], cols[None, :]])

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidParamError
+from .errors import EvrepError, InvalidParamError
 from .io import read_tensor, write_tensor
 from .model import TensorCHW
 
@@ -61,9 +61,9 @@ class FoldStage:
         b = np.asarray(self.bias, dtype=np.float32)
         s = np.asarray(self.scale, dtype=np.float32)
         if w.ndim != 3 or w.shape[0] != 2 or w.shape[2] != 2:
-            raise DimMismatchError(f"stage weights must be (2, out_slots, 2), got {w.shape}")
+            raise EvrepError(f"stage weights must be (2, out_slots, 2), got {w.shape}")
         if b.shape != w.shape[:2] or s.shape != w.shape[:2]:
-            raise DimMismatchError("stage bias/scale must be (2, out_slots)")
+            raise EvrepError("stage bias/scale must be (2, out_slots)")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
             raise InvalidParamError("stage parameters must be finite")
         if np.any(np.linalg.norm(w, axis=-1) == 0.0):
@@ -96,12 +96,12 @@ class BfmWeights:
         if self.queue_depth < 1:
             raise InvalidParamError("queue_depth must be >= 1")
         if not self.stages:
-            raise DimMismatchError("at least one folding stage is required")
+            raise EvrepError("at least one folding stage is required")
         slots = self.queue_depth
         for i, stage in enumerate(self.stages):
             expected = (slots + 1) // 2
             if stage.out_slots != expected:
-                raise DimMismatchError(
+                raise EvrepError(
                     f"stage {i}: expected {expected} output slots for {slots} inputs, "
                     f"got {stage.out_slots}"
                 )
@@ -113,15 +113,15 @@ class BfmWeights:
         b2 = np.asarray(self.mlp_b2, dtype=np.float32)
         retained = 2 * len(self.stages)
         if w1.ndim != 2 or w1.shape[1] != retained:
-            raise DimMismatchError(
+            raise EvrepError(
                 f"mlp_w1 must be (hidden, {retained}), got {getattr(w1, 'shape', None)}"
             )
         if b1.shape != (w1.shape[0],):
-            raise DimMismatchError("mlp_b1 must match mlp_w1 rows")
+            raise EvrepError("mlp_b1 must match mlp_w1 rows")
         if w2.ndim != 2 or w2.shape[1] != w1.shape[0]:
-            raise DimMismatchError("mlp_w2 columns must match mlp_w1 rows")
+            raise EvrepError("mlp_w2 columns must match mlp_w1 rows")
         if b2.shape != (w2.shape[0],):
-            raise DimMismatchError("mlp_b2 must match mlp_w2 rows")
+            raise EvrepError("mlp_b2 must match mlp_w2 rows")
         for a in (w1, b1, w2, b2):
             if not np.all(np.isfinite(a)):
                 raise InvalidParamError("mlp parameters must be finite")
@@ -195,9 +195,7 @@ def bfm_forward(tensor: TensorCHW, weights: BfmWeights) -> TensorCHW:
     """Apply the folding head point-wise; (2K, H, W) in, (S*, H, W) out."""
     a = np.asarray(tensor, dtype=np.float32)
     if a.ndim != 3 or a.shape[0] != weights.in_channels:
-        raise DimMismatchError(
-            f"expected ({weights.in_channels}, H, W) input, got {a.shape}"
-        )
+        raise EvrepError(f"expected ({weights.in_channels}, H, W) input, got {a.shape}")
     _, h, w = a.shape
     k = weights.queue_depth
     # channel 2*slot + polarity -> slots[pol, slot]
@@ -257,7 +255,7 @@ def load_weights(directory: str | Path) -> BfmWeights:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest.get("version") != 1:
-        raise DimMismatchError(f"unsupported weight manifest version {manifest.get('version')}")
+        raise EvrepError(f"unsupported weight manifest version {manifest.get('version')}")
 
     stages = []
     for entry in manifest["stages"]:

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .augment import AugmentConfig, augment
 from .encoders import event_count_image, event_volume, sae_init, surface_active_events
-from .errors import EvrepError, InvalidParamError, MissingLevelError
+from .errors import EvrepError, InvalidParamError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
     read_annotations_csv,
@@ -83,6 +83,7 @@ def _encoder_params(args: argparse.Namespace) -> EncoderParams:
         recent_events=args.recent_events,
         sae_decay_per_us=args.sae_decay,
         queue_depth=args.queue_depth,
+        kernel=args.kernel,
     )
 
 
@@ -108,7 +109,7 @@ def _detection_times(
 
 
 def _tensors(
-    stream: EventStream, rep: str, params: EncoderParams, times: list[int], kernel: str
+    stream: EventStream, rep: str, params: EncoderParams, times: list[int]
 ) -> Iterator[tuple[int, TensorCHW]]:
     """The one loop from a stream to (t_n, tensor) pairs, one per detection time.
 
@@ -125,7 +126,7 @@ def _tensors(
         if rep == "taf":
             tensor = temporal_active_focus(stream, t_n, state)
         elif rep == "volume":
-            tensor = event_volume(stream, t_n, params, kernel=kernel)
+            tensor = event_volume(stream, t_n, params)
         elif rep == "count":
             tensor = event_count_image(stream, t_n, params)
         else:
@@ -172,7 +173,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
     def encode(path: str, times: list[int]) -> None:
         stream = _load_stream(path)
-        for t_n, tensor in _tensors(stream, args.rep, params, times, args.kernel):
+        for t_n, tensor in _tensors(stream, args.rep, params, times):
             out = out_dir / f"{Path(path).stem}_{t_n}.evtn"
             written.append(out)  # before the write starts, so a failed write goes too
             write_tensor(tensor, out)
@@ -206,7 +207,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{len(times)} steps leave no samples after {args.warmup} warm-up steps"
         )
 
-    tensors = _tensors(stream, args.rep, params, times, args.kernel)
+    tensors = _tensors(stream, args.rep, params, times)
     clock = time.perf_counter
     samples_us: list[float] = []
     events_processed = 0
@@ -246,23 +247,30 @@ def _cmd_levels(args: argparse.Namespace) -> int:
     if not paths:
         raise EvrepError(f"no .flow files under {args.flows}")
     # one flow field is held at a time; the first file sets the frame size,
-    # the only part of the geometry that sanitization reads
-    flows = map(read_flow, paths)
-    flow = next(flows)
+    # the only part of the geometry that sanitization reads, and every file
+    # must have it
+    flow = read_flow(paths[0])
+    width, height = flow.width, flow.height
     t_hi = max(max((a.t for a in annotations), default=0), flow.t) + 1
-    report = sanitize_report(annotations, FrameGeometry(flow.width, flow.height, t_hi))
+    report = sanitize_report(annotations, FrameGeometry(width, height, t_hi))
 
     kept_by_t: dict[int, list[int]] = {}
     for pos, box in enumerate(report.kept):
         kept_by_t.setdefault(box.t, []).append(pos)
     values: list[float | None] = [None] * len(report.kept)
-    while flow is not None:
+    for i, path in enumerate(paths):
+        if i:
+            flow = read_flow(path)
+            if (flow.width, flow.height) != (width, height):
+                raise EvrepError(
+                    f"flow file {path} is {flow.width}x{flow.height}, "
+                    f"but {paths[0]} is {width}x{height}"
+                )
         if flow.t in kept_by_t:
             # a later file with the same timestamp overwrites an earlier one
             intensity = flow_intensity(flow)
             for pos in kept_by_t[flow.t]:
                 values[pos] = bbofd(intensity, report.kept[pos])
-        flow = next(flows, None)
     for box, value in zip(report.kept, values):
         if value is None:
             raise EvrepError(f"no flow field at timestamp {box.t}")
@@ -297,7 +305,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         try:
             levels = [level_map[(b.t, i)] for b, i in zip(report.kept, report.kept_indices)]
         except KeyError as missing:
-            raise MissingLevelError(f"no level for annotation {missing}") from None
+            raise EvrepError(f"no level for annotation {missing}") from None
         result = map_by_level(
             detections, list(report.kept), levels, cfg, removed_boxes=report.removed_overlapping
         )
@@ -355,7 +363,7 @@ def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
                    default=EncoderParams.recent_events, help="event count for --rep count")
     p.add_argument("--sae-decay", type=float, dest="sae_decay",
                    default=EncoderParams.sae_decay_per_us, help="decay per µs for --rep sae")
-    p.add_argument("--kernel", choices=("rect", "triangular"), default="rect",
+    p.add_argument("--kernel", choices=("rect", "triangular"), default=EncoderParams.kernel,
                    help="volume accumulation kernel")
     p.add_argument("--at-annotations", dest="at_annotations",
                    help="encode at the timestamps of this annotation CSV")

@@ -25,22 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamError, WindowOutOfOrderError
+from .errors import EvrepError
 from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW
 
 
-def event_volume(
-    stream: EventStream, t_n: int, params: EncoderParams, kernel: str = "rect"
-) -> TensorCHW:
+def event_volume(stream: EventStream, t_n: int, params: EncoderParams) -> TensorCHW:
     """Accumulate events of the window [t_n - bins*delta_tau, t_n) into 2*bins channels.
 
-    The rect kernel adds 1 to the bin containing each event, so total tensor
-    mass equals the in-window event count. The triangular kernel splits each
-    event linearly between the two nearest bin centers; mass falling outside
-    the first/last bin center is clipped.
+    params.kernel spreads each event over the bins. The rect kernel adds 1
+    to the bin containing each event, so total tensor mass equals the
+    in-window event count. The triangular kernel splits each event linearly
+    between the two nearest bin centers; mass falling outside the first/last
+    bin center is clipped.
     """
-    if kernel not in ("rect", "triangular"):
-        raise InvalidParamError(f"unknown kernel {kernel!r}")
     geo = stream.geometry
     geo.check_detection_time(t_n)
 
@@ -56,7 +53,7 @@ def event_volume(
     out = np.zeros((2 * bins, h, w), dtype=np.float64)
     flat = out.reshape(-1)
     if len(t):
-        if kernel == "rect":
+        if params.kernel == "rect":
             b = (t - t_lo) // delta_tau_us
             np.add.at(flat, ((2 * b + p) * h + y) * w + x, 1.0)
         else:
@@ -122,16 +119,13 @@ def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> Ten
     ``state`` carries the decay, the geometry and the latest timestamps of
     the previous call on the same stream; only the events in [state.t_n,
     t_n) are folded into it, and it is updated in place. A stream of another
-    geometry raises GeometryMismatchError, a t_n before the state's
-    WindowOutOfOrderError.
+    geometry or a t_n before the state's raises EvrepError.
     """
     geo = state.geometry
     geo.check_stream(stream)
     geo.check_detection_time(t_n)
     if t_n < state.t_n:
-        raise WindowOutOfOrderError(
-            f"detection timestamp {t_n} precedes the state's {state.t_n}"
-        )
+        raise EvrepError(f"detection timestamp {t_n} precedes the state's {state.t_n}")
 
     h, w = geo.height, geo.width
     i, j = stream.slice_range(state.t_n, t_n)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidParamError, MissingLevelError
+from .errors import EvrepError, InvalidParamError
 from .model import Annotation, Detection
 
 DEFAULT_IOU_THRESHOLDS = tuple(i / 100 for i in range(50, 100, 5))
@@ -238,18 +238,6 @@ def _mean_ap(table: dict[int, list[float]], thresholds: Sequence[float]):
     return overall, per_class, per_threshold
 
 
-def average_precision(
-    detections: Sequence[Detection],
-    annotations: Sequence[Annotation],
-    class_id: int,
-    iou_threshold: float,
-    tolerance_us: int = 0,
-) -> float:
-    """AP of one class at one IoU threshold (0.0 when the class has no GT)."""
-    (table,) = _ap_tables(detections, annotations, (iou_threshold,), tolerance_us)
-    return table.get(class_id, [0.0])[0]
-
-
 def map_metric(
     detections: Sequence[Detection],
     annotations: Sequence[Annotation],
@@ -283,11 +271,9 @@ def map_by_level(
     every level's false positives.
     """
     if len(levels) != len(annotations):
-        raise MissingLevelError(
-            f"{len(annotations)} annotations but {len(levels)} level assignments"
-        )
+        raise EvrepError(f"{len(annotations)} annotations but {len(levels)} level assignments")
     if not annotations:
-        raise EmptyInputError("need at least one annotation")
+        raise EvrepError("need at least one annotation")
 
     overall = map_metric(detections, annotations, cfg)
 

@@ -37,17 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    CoordOutOfBoundsError,
-    DimMismatchError,
-    NonMonotonicTimestampError,
-    NonPositiveSizeError,
-    ParseError,
-    TruncatedPlaneError,
-    TruncatedRecordError,
-    UnsupportedDtypeError,
-)
+from .errors import EvrepError, ParseError
 from .model import Annotation, Detection, EventStream, FlowField, FrameGeometry, ensure_tensor_chw
 
 EVENT_MAGIC = b"EVST"
@@ -67,26 +57,26 @@ def _check_event_columns(t, x, y, p, geometry: FrameGeometry) -> None:
     """Semantic validation shared by the binary and CSV event readers."""
     bad = np.nonzero(np.diff(t) < 0)[0]
     if bad.size:
-        raise NonMonotonicTimestampError(int(bad[0]) + 1)
+        raise EvrepError(f"non-monotonic timestamp at record {int(bad[0]) + 1}")
     bad = np.nonzero((t >= geometry.t_max_us) | (t < 0))[0]
     if bad.size:
-        raise CoordOutOfBoundsError(int(bad[0]), f"timestamp outside [0, t_max) at record {int(bad[0])}")
+        raise EvrepError(f"timestamp outside [0, t_max) at record {int(bad[0])}")
     bad = np.nonzero((x >= geometry.width) | (y >= geometry.height))[0]
     if bad.size:
-        raise CoordOutOfBoundsError(int(bad[0]))
+        raise EvrepError(f"coordinate out of bounds at record {int(bad[0])}")
     bad = np.nonzero(p > 1)[0]
     if bad.size:
-        raise CoordOutOfBoundsError(int(bad[0]), f"polarity not in {{0, 1}} at record {int(bad[0])}")
+        raise EvrepError(f"polarity not in {{0, 1}} at record {int(bad[0])}")
 
 
 def _event_header(data: bytes) -> FrameGeometry:
     if len(data) < _EVENT_HEADER.size:
-        raise TruncatedRecordError("input shorter than the stream header")
+        raise EvrepError("input shorter than the stream header")
     magic, version, width, height, t_max = _EVENT_HEADER.unpack_from(data, 0)
     if magic != EVENT_MAGIC:
-        raise BadMagicError(f"expected {EVENT_MAGIC!r}, found {magic!r}")
+        raise EvrepError(f"expected {EVENT_MAGIC!r}, found {magic!r}")
     if version != 1:
-        raise BadMagicError(f"unsupported event stream version {version}")
+        raise EvrepError(f"unsupported event stream version {version}")
     return FrameGeometry(width, height, t_max)
 
 
@@ -101,7 +91,7 @@ def read_events_binary(data: bytes) -> EventStream:
     geometry = _event_header(data)
     body = len(data) - _EVENT_HEADER.size
     if body % _EVENT_RECORD_DTYPE.itemsize != 0:
-        raise TruncatedRecordError(
+        raise EvrepError(
             f"{body} payload bytes is not a multiple of {_EVENT_RECORD_DTYPE.itemsize}"
         )
 
@@ -215,18 +205,18 @@ def read_tensor(path: str | Path) -> np.ndarray:
     """Read a .evtn tensor file back into a float32 (C, H, W) array."""
     data = Path(path).read_bytes()
     if len(data) < _TENSOR_HEADER.size:
-        raise BadMagicError("input shorter than the tensor header")
+        raise EvrepError("input shorter than the tensor header")
     magic, version, c, h, w, dtype_code = _TENSOR_HEADER.unpack_from(data, 0)
     if magic != TENSOR_MAGIC:
-        raise BadMagicError(f"expected {TENSOR_MAGIC!r}, found {magic!r}")
+        raise EvrepError(f"expected {TENSOR_MAGIC!r}, found {magic!r}")
     if version != 1:
-        raise BadMagicError(f"unsupported tensor version {version}")
+        raise EvrepError(f"unsupported tensor version {version}")
     if dtype_code != 0:
-        raise UnsupportedDtypeError(f"dtype code {dtype_code}")
+        raise EvrepError(f"dtype code {dtype_code}")
     expected = c * h * w * 4
     actual = len(data) - _TENSOR_HEADER.size
     if actual != expected:
-        raise DimMismatchError(f"payload holds {actual} bytes, header implies {expected}")
+        raise EvrepError(f"payload holds {actual} bytes, header implies {expected}")
     flat = np.frombuffer(data, dtype="<f4", offset=_TENSOR_HEADER.size)
     return flat.reshape(c, h, w).astype(np.float32, copy=True)
 
@@ -240,7 +230,7 @@ def _box(no: int, fields: list[str]) -> tuple[int, float, float, float, float, i
     h = _parse_float(fields[4], no, "h")
     class_id = _parse_int(fields[5], no, "class_id")
     if w <= 0 or h <= 0:
-        raise NonPositiveSizeError(no)
+        raise ParseError(no, "box width/height must be positive")
     # both are held in int64 arrays downstream
     if not (0 <= t < 2**63 and 0 <= class_id < 2**63):
         raise ParseError(no, f"timestamp {t} or class_id {class_id} outside [0, 2**63)")
@@ -313,13 +303,13 @@ def read_flow(path: str | Path) -> FlowField:
     """Read a .flow file back into a FlowField; inverse of write_flow."""
     data = Path(path).read_bytes()
     if len(data) < _FLOW_HEADER.size:
-        raise BadMagicError("input shorter than the flow header")
+        raise EvrepError("input shorter than the flow header")
     magic, t, h, w = _FLOW_HEADER.unpack_from(data, 0)
     if magic != FLOW_MAGIC:
-        raise BadMagicError(f"expected {FLOW_MAGIC!r}, found {magic!r}")
+        raise EvrepError(f"expected {FLOW_MAGIC!r}, found {magic!r}")
     plane = h * w * 4
     if len(data) - _FLOW_HEADER.size != 2 * plane:
-        raise TruncatedPlaneError(
+        raise EvrepError(
             f"payload holds {len(data) - _FLOW_HEADER.size} bytes, expected {2 * plane}"
         )
     u = np.frombuffer(data, dtype="<f4", count=h * w, offset=_FLOW_HEADER.size).reshape(h, w)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidParamError
+from .errors import EvrepError, InvalidParamError
 
 # A dense channel-major float tensor: np.float32, shape (C, H, W).
 TensorCHW = np.ndarray
@@ -51,14 +51,15 @@ class FrameGeometry:
             raise InvalidParamError("t_max_us must be positive")
 
     def check_detection_time(self, t_n: int) -> None:
-        """Raise GeometryMismatchError unless 0 <= t_n <= t_max_us."""
+        """Raise EvrepError unless 0 <= t_n <= t_max_us."""
         if not 0 <= t_n <= self.t_max_us:
-            raise GeometryMismatchError(f"detection timestamp {t_n} outside [0, {self.t_max_us}]")
+            raise EvrepError(f"detection timestamp {t_n} outside [0, {self.t_max_us}]")
 
-    def check_stream(self, stream: EventStream) -> None:
-        """Raise GeometryMismatchError unless the stream was recorded in this geometry."""
+    def check_stream(self, stream: EventStream | WindowView) -> None:
+        """Raise EvrepError unless the stream (or the window cut from one) was
+        recorded in this geometry."""
         if stream.geometry != self:
-            raise GeometryMismatchError(f"stream geometry {stream.geometry} is not {self}")
+            raise EvrepError(f"stream geometry {stream.geometry} is not {self}")
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,11 @@ class EventStream:
 class WindowView:
     """A contiguous slice of a stream restricted to [t_lo, t_hi), t_hi <= t_n.
 
-    Holds column views into the parent stream (no copies); ``t_n`` is the
-    detection timestamp the window feeds.
+    Holds the stream's geometry and column views into the stream (no
+    copies); ``t_n`` is the detection timestamp the window feeds.
     """
 
+    geometry: FrameGeometry
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -121,7 +123,10 @@ class WindowView:
         if t_hi > t_n:
             raise InvalidParamError("window must end at or before the detection timestamp")
         i, j = stream.slice_range(t_lo, t_hi)
-        return cls(stream.t[i:j], stream.x[i:j], stream.y[i:j], stream.p[i:j], t_lo, t_hi, t_n)
+        return cls(
+            stream.geometry, stream.t[i:j], stream.x[i:j], stream.y[i:j], stream.p[i:j],
+            t_lo, t_hi, t_n,
+        )
 
     def __len__(self) -> int:
         return int(self.t.shape[0])
@@ -210,6 +215,7 @@ class EncoderParams:
     recent_events:     event count for the count image
     sae_decay_per_us:  exponential decay rate for the active-event surface
     queue_depth:       per-position FIFO depth for the focus encoder
+    kernel:            event volume accumulation kernel, rect or triangular
     """
 
     delta_tau_us: int = 10_000
@@ -217,6 +223,7 @@ class EncoderParams:
     recent_events: int = 50_000
     sae_decay_per_us: float = 1e-5
     queue_depth: int = 4
+    kernel: str = "rect"
 
     def __post_init__(self):
         if self.delta_tau_us <= 0:
@@ -232,6 +239,8 @@ class EncoderParams:
             raise InvalidParamError("sae_decay_per_us must be positive and finite")
         if not 1 <= self.queue_depth < 2**31:
             raise InvalidParamError("queue_depth must lie in [1, 2**31)")
+        if self.kernel not in ("rect", "triangular"):
+            raise InvalidParamError(f"unknown kernel {self.kernel!r}")
 
 
 def detection_grid(t_max_us: int, delta_tau_us: int) -> list[int]:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBoxError, EmptyInputError
+from .errors import EvrepError
 from .model import Annotation, FlowField, FrameGeometry
 
 
@@ -38,7 +38,7 @@ def bbofd(intensity: np.ndarray, box: Annotation) -> float:
     xs, ys = max(x0, 0), max(y0, 0)
     xe, ye = min(x0 + w, plane_w), min(y0 + h, plane_h)
     if xe <= xs or ye <= ys:
-        raise DegenerateBoxError(f"box at ({box.x}, {box.y}) size ({box.w}, {box.h})")
+        raise EvrepError(f"box at ({box.x}, {box.y}) size ({box.w}, {box.h})")
     region = intensity[ys:ye, xs:xe]
     return float(np.mean(region, dtype=np.float64))
 
@@ -105,7 +105,7 @@ def motion_levels(bbofds: Sequence[float]) -> MotionLevels:
     """
     n = len(bbofds)
     if n == 0:
-        raise EmptyInputError("need at least one value")
+        raise EvrepError("need at least one value")
     ordered = sorted(float(v) for v in bbofds)
     # ceil(k*n/5) via integers; k/5 are the exact quantile fractions
     boundaries = tuple(ordered[(k * n + 4) // 5 - 1] for k in (1, 2, 3, 4))

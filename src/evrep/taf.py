@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamError, WindowOutOfOrderError
+from .errors import EvrepError, InvalidParamError
 from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, WindowView
 
 # Far-past timestamp of an empty slot (µs). Finite on purpose: numpy's log1p
@@ -137,20 +137,22 @@ def taf_step(state: TafState, window: WindowView) -> TafState:
     n and end at its detection timestamp. Cells that fired get the period's
     mean elapse pushed as their newest entry (evicting the oldest when
     full); all other cells only age, which costs nothing here. Returns the
-    same state object, updated in place.
+    same state object, updated in place. A window cut from a stream of
+    another geometry raises EvrepError before the state is touched.
     """
     dt = state.delta_tau_us
     t_lo = state.step_index * dt
     t_hi = t_lo + dt
     if window.t_lo != t_lo or window.t_hi != t_hi or window.t_n != t_hi:
-        raise WindowOutOfOrderError(
+        raise EvrepError(
             f"expected window [{t_lo}, {t_hi}) at detection {t_hi}, "
             f"got [{window.t_lo}, {window.t_hi}) at {window.t_n}"
         )
     if len(window) and (int(window.t[0]) < t_lo or int(window.t[-1]) >= t_hi):
-        raise WindowOutOfOrderError("window holds events outside its bounds")
-
+        raise EvrepError("window holds events outside its bounds")
     geo = state.geometry
+    geo.check_stream(window)
+
     if len(window):
         _push(state, *_window_mean_timestamps(window, geo.height, geo.width))
 
@@ -187,15 +189,14 @@ def temporal_active_focus(stream: EventStream, t_n: int, state: TafState) -> Ten
     ``state`` carries K, delta_tau and the geometry, and is stepped in place
     through every full period that ends at or before t_n. The open period is
     pushed into the cells that fired in it for the render only, then those
-    cells are restored. A stream of another geometry raises
-    GeometryMismatchError; a t_n before the end of the state's last full
-    period raises WindowOutOfOrderError.
+    cells are restored. A stream of another geometry, or a t_n before the
+    end of the state's last full period, raises EvrepError.
     """
     geo, delta_tau_us = state.geometry, state.delta_tau_us
     geo.check_stream(stream)
     geo.check_detection_time(t_n)
     if t_n < state.detection_time_us:
-        raise WindowOutOfOrderError(
+        raise EvrepError(
             f"detection timestamp {t_n} precedes the state's {state.detection_time_us}"
         )
 

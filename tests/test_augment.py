@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evrep.augment import AugmentConfig, augment, flip_h, make_rng, resize_crop
-from evrep.errors import InvalidParamError, OffsetOutOfRangeError
+from evrep.errors import EvrepError, InvalidParamError
 
 
 def _tensor(rng, c=3, h=4, w=5):
@@ -58,9 +58,9 @@ class TestResizeCrop:
 
     def test_offsets_validated(self, rng):
         t = _tensor(rng, 1, 2, 2)
-        with pytest.raises(OffsetOutOfRangeError):
+        with pytest.raises(EvrepError, match=r"^offsets \(2, 0\) outside \[0, 1\] x \[0, 1\]$"):
             resize_crop(t, 1.5, (2, 0))
-        with pytest.raises(OffsetOutOfRangeError):
+        with pytest.raises(EvrepError, match=r"^offsets \(0, 1\) outside \[0, 0\] x \[0, 0\]$"):
             resize_crop(t, 1.0, (0, 1))
 
     def test_no_new_values(self, rng):

@@ -11,7 +11,7 @@ from evrep.bfm import (
     random_weights,
     save_weights,
 )
-from evrep.errors import DimMismatchError, InvalidParamError
+from evrep.errors import EvrepError, InvalidParamError
 
 
 def _random_input(rng, k, h, w):
@@ -114,12 +114,12 @@ def test_stage_intermediates_non_negative(rng):
 
 def test_dim_mismatch_on_wrong_input(rng):
     weights = random_weights(4, seed=2)
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(EvrepError, match=r"^expected \(8, H, W\) input, got \(6, 4, 4\)$"):
         bfm_forward(np.zeros((6, 4, 4), dtype=np.float32), weights)
 
 
 def test_inconsistent_stage_chain_rejected():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(EvrepError, match="^stage 0: expected 2 output slots for 4 inputs, got 3$"):
         BfmWeights(
             queue_depth=4,
             stages=(identity_stage(3),),  # 4 slots must fold to 2, not 3

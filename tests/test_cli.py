@@ -230,12 +230,12 @@ class TestEncode:
         stream = read_events_binary(one_second_stream.read_bytes())
         files = sorted(out.glob("*.evtn"))
         assert len(files) == 10
-        params = EncoderParams(delta_tau_us=100_000, bins=3)
+        params = EncoderParams(delta_tau_us=100_000, bins=3, kernel="triangular")
         for path in files:
             t_n = int(path.stem.rsplit("_", 1)[1])
-            expected = event_volume(stream, t_n, params, kernel="triangular")
+            expected = event_volume(stream, t_n, params)
             assert np.array_equal(read_tensor(path), expected)
-        rect = event_volume(stream, 1_000_000, params)
+        rect = event_volume(stream, 1_000_000, EncoderParams(delta_tau_us=100_000, bins=3))
         assert not np.array_equal(read_tensor(out / "events_1000000.evtn"), rect)
 
     def test_config_value_of_wrong_type_is_usage_error(self, one_second_stream, tmp_path, capsys):
@@ -494,9 +494,9 @@ class TestBench:
     def test_kernel_is_honoured(self, one_second_stream, monkeypatch):
         kernels = []
 
-        def spy(*args, **kwargs):
-            kernels.append(kwargs.get("kernel"))
-            return event_volume(*args, **kwargs)
+        def spy(stream, t_n, params):
+            kernels.append(params.kernel)
+            return event_volume(stream, t_n, params)
 
         monkeypatch.setattr(evrep.cli, "event_volume", spy)
         code = _run("bench", "--rep", "volume", "--events", str(one_second_stream),
@@ -731,6 +731,25 @@ class TestLevels:
         code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann), "--out", str(out))
         assert code == 0
         assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["7.0"] * 3
+
+    @pytest.mark.parametrize(
+        "box", [(6, 1, 6, 4), (0, 8, 3, 3)], ids=["inside-both", "outside-smaller"]
+    )
+    def test_flow_of_another_size_is_data_error(self, box, tmp_path, capsys):
+        flow_dir = tmp_path / "flows"
+        flow_dir.mkdir()
+        for name, t, (h, w) in (("a", 10, (12, 16)), ("b", 20, (6, 8))):
+            u = np.ones((h, w), dtype=np.float32)
+            write_flow(FlowField.from_planes(t, u, u), flow_dir / f"{name}.flow")
+        ann = tmp_path / "ann.csv"
+        ann.write_text(write_annotations_csv([Annotation(20, *box, 0)]))
+        out = tmp_path / "levels.csv"
+        code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"evrep: flow file {flow_dir / 'b.flow'} is 8x6, but {flow_dir / 'a.flow'} is 16x12\n"
+        )
+        assert not out.exists()
 
 
 class TestEval:

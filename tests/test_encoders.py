@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from evrep.encoders import event_count_image, event_volume, sae_init, surface_active_events
-from evrep.errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
+from evrep.errors import EvrepError, InvalidParamError
 from evrep.model import EncoderParams, EventStream, FrameGeometry
 
 from conftest import make_random_stream
@@ -67,7 +68,7 @@ class TestEventVolume:
             rng.integers(0, small_geometry.height, 500),
             rng.integers(0, 2, 500),
         )
-        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b), kernel="triangular")
+        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b, kernel="triangular"))
         assert math.isclose(float(vol.sum()), 500.0, rel_tol=1e-4)
 
     def test_triangular_splits_between_bin_centers(self):
@@ -76,19 +77,19 @@ class TestEventVolume:
         t_n = 20_000
         # event at 12 500 sits 3/4 of the way from bin-0 center to bin-1 center
         stream = EventStream.from_arrays(geo, [12_500], [2], [1], [0])
-        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b), kernel="triangular")
+        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b, kernel="triangular"))
         assert math.isclose(float(vol[0, 1, 2]), 0.25, abs_tol=1e-7)
         assert math.isclose(float(vol[2, 1, 2]), 0.75, abs_tol=1e-7)
 
     def test_detection_time_validated(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 10)
-        with pytest.raises(GeometryMismatchError):
+        expected = r"^detection timestamp 1000001 outside \[0, 1000000\]$"
+        with pytest.raises(EvrepError, match=expected):
             event_volume(stream, small_geometry.t_max_us + 1, PARAMS)
 
-    def test_unknown_kernel(self, rng, small_geometry):
-        stream = make_random_stream(rng, small_geometry, 10)
-        with pytest.raises(InvalidParamError):
-            event_volume(stream, 1000, PARAMS, kernel="gauss")
+    def test_unknown_kernel(self):
+        with pytest.raises(InvalidParamError, match="^unknown kernel 'gauss'$"):
+            EncoderParams(kernel="gauss")
 
     def test_purity(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 500)
@@ -102,7 +103,7 @@ def test_triangular_matches_per_event_oracle(rng, small_geometry):
     dt, bins = 10_000, 4
     t_n = 600_000
     stream = make_random_stream(rng, small_geometry, 400)
-    got = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=bins), kernel="triangular")
+    got = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=bins, kernel="triangular"))
 
     want = np.zeros_like(got, dtype=np.float64)
     t_lo = t_n - bins * dt
@@ -124,7 +125,7 @@ def test_triangular_matches_per_event_oracle(rng, small_geometry):
 def test_all_encoders_pure(rng, small_geometry):
     stream = make_random_stream(rng, small_geometry, 600)
     for encode in (
-        lambda: event_volume(stream, 700_000, PARAMS, kernel="triangular"),
+        lambda: event_volume(stream, 700_000, EncoderParams(kernel="triangular")),
         lambda: event_count_image(stream, 700_000, EncoderParams(recent_events=250)),
         lambda: surface_active_events(stream, 700_000, sae_init(stream.geometry, PARAMS)),
     ):
@@ -274,7 +275,8 @@ class TestSaeIncremental:
         stream = make_random_stream(rng, small_geometry, 500)
         state = sae_init(small_geometry, PARAMS)
         surface_active_events(stream, 500_000, state)
-        with pytest.raises(WindowOutOfOrderError):
+        expected = "^detection timestamp 499999 precedes the state's 500000$"
+        with pytest.raises(EvrepError, match=expected):
             surface_active_events(stream, 499_999, state)
         # the rejected call leaves the state as it was
         assert state.t_n == 500_000
@@ -285,6 +287,7 @@ class TestSaeIncremental:
         state = sae_init(small_geometry, PARAMS)
         larger = FrameGeometry(64, 48, 1_000_000)  # small_geometry is 32 x 24
         stream = make_random_stream(rng, larger, 500)
-        with pytest.raises(GeometryMismatchError):
+        expected = f"stream geometry {larger} is not {small_geometry}"
+        with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
             surface_active_events(stream, 500_000, state)
         assert state.t_n == 0

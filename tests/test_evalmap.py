@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from evrep.errors import MissingLevelError
+from evrep.errors import EvrepError
 from evrep.evalmap import (
     DEFAULT_IOU_THRESHOLDS,
     EvalConfig,
-    average_precision,
     iou,
     map_by_level,
     map_metric,
@@ -15,6 +14,11 @@ from evrep.evalmap import (
 )
 from evrep.errors import InvalidParamError
 from evrep.model import Annotation, Detection
+
+
+def _ap(dets, anns, class_id, thr):
+    """AP of one class at one IoU threshold (0.0 when the class has no GT)."""
+    return map_metric(dets, anns, EvalConfig((thr,))).per_class.get(class_id, 0.0)
 
 
 def _ann(t, x, y, w, h, cls=0):
@@ -65,29 +69,29 @@ class TestAveragePrecision:
         anns = [_ann(0, 10, 10, 20, 20), _ann(0, 50, 50, 10, 10)]
         dets = _perfect(anns)
         for thr in DEFAULT_IOU_THRESHOLDS:
-            assert average_precision(dets, anns, 0, thr) == 1.0
+            assert _ap(dets, anns, 0, thr) == 1.0
 
     def test_no_detections(self):
         anns = [_ann(0, 10, 10, 20, 20)]
         for thr in DEFAULT_IOU_THRESHOLDS:
-            assert average_precision([], anns, 0, thr) == 0.0
+            assert _ap([], anns, 0, thr) == 0.0
 
     def test_iou_point_six_steps_at_threshold(self):
         anns = [_ann(0, 0, 0, 10, 10)]
         dets = [_det(0, 2.5, 0, 10, 10)]  # IoU exactly 0.6
         for thr in DEFAULT_IOU_THRESHOLDS:
             expected = 1.0 if thr <= 0.6 else 0.0
-            assert average_precision(dets, anns, 0, thr) == expected
+            assert _ap(dets, anns, 0, thr) == expected
 
     def test_greedy_prefers_highest_iou(self):
         anns = [_ann(0, 0, 0, 10, 10), _ann(0, 8, 0, 10, 10)]
         dets = [_det(0, 1, 0, 10, 10, score=0.9), _det(0, 7, 0, 10, 10, score=0.8)]
-        assert average_precision(dets, anns, 0, 0.5) == 1.0
+        assert _ap(dets, anns, 0, 0.5) == 1.0
 
     def test_lower_scored_duplicate_is_fp(self):
         anns = [_ann(0, 0, 0, 10, 10)]
         dets = [_det(0, 0, 0, 10, 10, score=0.9), _det(0, 0.5, 0, 10, 10, score=0.8)]
-        ap = average_precision(dets, anns, 0, 0.5)
+        ap = _ap(dets, anns, 0, 0.5)
         assert ap == 1.0  # precision envelope at full recall is reached first
 
 
@@ -243,7 +247,7 @@ def test_ap_matches_independent_reference(rng):
             for _ in range(int(rng.integers(0, 12)))
         ]
         for thr in (0.5, 0.75):
-            got = average_precision(dets, anns, 0, thr)
+            got = _ap(dets, anns, 0, thr)
             want = _reference_ap(dets, anns, 0, thr)
             assert math.isclose(got, want, abs_tol=1e-12), (trial, thr, got, want)
 
@@ -315,5 +319,5 @@ class TestMapByLevel:
 
     def test_mismatched_levels_rejected(self):
         anns = [_ann(0, 0, 0, 10, 10)]
-        with pytest.raises(MissingLevelError):
+        with pytest.raises(EvrepError, match="^1 annotations but 2 level assignments$"):
             map_by_level([], anns, [1, 2], EvalConfig())

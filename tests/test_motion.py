@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evrep.errors import DegenerateBoxError, EmptyInputError
+from evrep.errors import EvrepError
 from evrep.model import Annotation, FlowField, FrameGeometry
 from evrep.motion import (
     SanitizeReport,
@@ -68,7 +68,7 @@ class TestBbofd:
 
     def test_degenerate_box(self):
         plane = np.ones((10, 10), dtype=np.float32)
-        with pytest.raises(DegenerateBoxError):
+        with pytest.raises(EvrepError, match=r"^box at \(1\.0, 1\.0\) size \(0\.5, 5\.0\)$"):
             bbofd(plane, Annotation(0, 1.0, 1.0, 0.5, 5.0, 0))  # floor(w) = 0
 
     def test_truncation_toward_zero(self):
@@ -213,5 +213,5 @@ class TestMotionLevels:
         assert tuple(levels.level_of(v) for v in values) == levels.levels
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EvrepError, match="^need at least one value$"):
             motion_levels([])

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from evrep.errors import GeometryMismatchError, InvalidParamError, WindowOutOfOrderError
+from evrep.errors import EvrepError, InvalidParamError
 from evrep.model import EncoderParams, EventStream, FrameGeometry, WindowView
 from evrep.taf import taf_init, taf_render, taf_step, temporal_active_focus, transform_elapse
 
@@ -138,20 +139,38 @@ class TestStep:
         state = taf_init(small_geometry, PARAMS)
         stream = EventStream.from_arrays(small_geometry, [], [], [], [])
         bad = WindowView.from_stream(stream, DT, 2 * DT, 2 * DT)  # state expects [0, DT)
-        with pytest.raises(WindowOutOfOrderError):
+        expected = "expected window [0, 10000) at detection 10000, got [10000, 20000) at 20000"
+        with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
             taf_step(state, bad)
 
     def test_window_lying_about_bounds_rejected(self, small_geometry):
         state = taf_init(small_geometry, PARAMS)
         lying = WindowView(
+            geometry=small_geometry,
             t=np.array([3 * DT], dtype=np.int64),
             x=np.array([0], dtype=np.int32),
             y=np.array([0], dtype=np.int32),
             p=np.array([0], dtype=np.uint8),
             t_lo=0, t_hi=DT, t_n=DT,
         )
-        with pytest.raises(WindowOutOfOrderError):
+        with pytest.raises(EvrepError, match="^window holds events outside its bounds$"):
             taf_step(state, lying)
+
+    def test_window_of_another_geometry_raises(self, rng, small_geometry):
+        # a window of a 40-wide stream would fold x >= 32 into the next row of a 32 x 24 state
+        wider = FrameGeometry(40, 24, small_geometry.t_max_us)
+        stream = make_random_stream(rng, wider, 5_000)
+        state = taf_init(small_geometry, PARAMS)
+        first = make_random_stream(rng, small_geometry, 500)
+        taf_step(state, WindowView.from_stream(first, 0, DT, DT))
+        before = state.mean_ts.copy()
+        window = WindowView.from_stream(stream, DT, 2 * DT, 2 * DT)
+        assert np.any(window.x >= small_geometry.width)
+        expected = f"stream geometry {wider} is not {small_geometry}"
+        with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
+            taf_step(state, window)
+        assert state.step_index == 1
+        assert np.array_equal(state.mean_ts, before)
 
     def test_queue_monotonicity_after_random_steps(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 5000)
@@ -246,12 +265,14 @@ class TestTemporalActiveFocus:
         state = taf_init(small_geometry, PARAMS)
         temporal_active_focus(stream, 2 * DT + 1, state)
         temporal_active_focus(stream, 2 * DT, state)  # same full periods
-        with pytest.raises(WindowOutOfOrderError):
+        expected = "^detection timestamp 19999 precedes the state's 20000$"
+        with pytest.raises(EvrepError, match=expected):
             temporal_active_focus(stream, 2 * DT - 1, state)
 
     def test_time_past_t_max_is_rejected(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [], [], [], [])
-        with pytest.raises(GeometryMismatchError):
+        expected = r"^detection timestamp 1000001 outside \[0, 1000000\]$"
+        with pytest.raises(EvrepError, match=expected):
             temporal_active_focus(
                 stream, small_geometry.t_max_us + 1, taf_init(small_geometry, PARAMS)
             )
@@ -260,7 +281,8 @@ class TestTemporalActiveFocus:
         state = taf_init(small_geometry, PARAMS)
         larger = FrameGeometry(64, 48, 1_000_000)  # small_geometry is 32 x 24
         stream = make_random_stream(rng, larger, 500)
-        with pytest.raises(GeometryMismatchError):
+        expected = f"stream geometry {larger} is not {small_geometry}"
+        with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
             temporal_active_focus(stream, 500_000, state)
         assert state.step_index == 0
 
