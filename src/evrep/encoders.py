@@ -50,12 +50,15 @@ def event_volume(stream: EventStream, t_n: int, params: EncoderParams) -> Tensor
     y = stream.y[i:j].astype(np.int64)
     p = stream.p[i:j].astype(np.int64)
 
-    out = np.zeros((2 * bins, h, w), dtype=np.float64)
+    # rect counts stay integers below 2**24, which float32 holds exactly
+    exact32 = params.kernel == "rect" and len(t) < 2**24
+    out = np.zeros((2 * bins, h, w), dtype=np.float32 if exact32 else np.float64)
     flat = out.reshape(-1)
     if len(t):
         if params.kernel == "rect":
             b = (t - t_lo) // delta_tau_us
-            np.add.at(flat, ((2 * b + p) * h + y) * w + x, 1.0)
+            # a float32 scalar: np.add.at takes a slow path for a Python float
+            np.add.at(flat, ((2 * b + p) * h + y) * w + x, flat.dtype.type(1))
         else:
             # continuous bin coordinate, 0 at the first bin center
             u = (t - t_lo) / float(delta_tau_us) - 0.5
@@ -68,7 +71,7 @@ def event_volume(stream: EventStream, t_n: int, params: EncoderParams) -> Tensor
                     ((2 * b[ok] + p[ok]) * h + y[ok]) * w + x[ok],
                     mass[ok],
                 )
-    return out.astype(np.float32)
+    return out.astype(np.float32, copy=False)
 
 
 def event_count_image(stream: EventStream, t_n: int, params: EncoderParams) -> TensorCHW:
@@ -137,7 +140,7 @@ def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> Ten
     np.maximum.at(latest, (p * h + y) * w + x, stream.t[i:j])
     state.t_n = t_n
 
-    out = np.zeros(2 * h * w, dtype=np.float64)
+    out = np.zeros(2 * h * w, dtype=np.float32)
     seen = latest >= 0
     out[seen] = np.exp(state.decay_per_us * (latest[seen] - float(t_n)))
-    return out.reshape(2, h, w).astype(np.float32)
+    return out.reshape(2, h, w)

@@ -11,7 +11,9 @@ Event stream binary (.evs)
 Tensor file (.evtn)
     header   magic b"EVTN" | version u32 = 1 | C u32 | H u32 | W u32
              | dtype_code u8 (0 = float32 LE)
-    payload  C*H*W float32, channel-major (c, then y, then x)
+    payload  C*H*W float32, channel-major (c, then y, then x); written
+             straight from the array's buffer, with no copy when the array
+             is already contiguous little-endian float32
 
 Flow field (.flow)
     header   magic b"FLOW" | t u64 | H u32 | W u32
@@ -196,9 +198,10 @@ def write_tensor(t: np.ndarray, path: str | Path) -> None:
     """Write a float32 (C, H, W) tensor to the .evtn container."""
     a = ensure_tensor_chw(t)
     c, h, w = a.shape
-    header = _TENSOR_HEADER.pack(TENSOR_MAGIC, 1, c, h, w, 0)
-    payload = np.ascontiguousarray(a, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    payload = np.ascontiguousarray(a, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(_TENSOR_HEADER.pack(TENSOR_MAGIC, 1, c, h, w, 0))
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -171,11 +171,16 @@ def taf_render(state: TafState, t_n: int | None = None) -> TensorCHW:
     t_max_us = state.geometry.t_max_us
     t_now = float(state.detection_time_us if t_n is None else t_n)
     # elapses stay float64 (timestamps need it); once scaled by 1e-4 the
-    # argument is small enough that float32 log1p costs < 1e-7 of accuracy
-    scaled = ((t_now - state.mean_ts) * 1e-4).astype(np.float32)
-    np.clip(scaled, 0.0, None, out=scaled)
-    np.log1p(scaled, out=scaled)
-    rendered = 1.0 - scaled / np.float32(np.log1p(t_max_us * 1e-4))
+    # argument is small enough that float32 log1p costs < 1e-7 of accuracy.
+    # One float64 and one float32 array, each operation in place.
+    elapse = np.subtract(t_now, state.mean_ts)
+    elapse *= 1e-4
+    rendered = elapse.astype(np.float32)
+    del elapse
+    np.clip(rendered, 0.0, None, out=rendered)
+    np.log1p(rendered, out=rendered)
+    rendered /= np.float32(np.log1p(t_max_us * 1e-4))
+    np.subtract(1.0, rendered, out=rendered)
     np.clip(rendered, 0.0, 1.0, out=rendered)
     h, w = state.geometry.height, state.geometry.width
     return rendered.reshape(2 * state.queue_depth, h, w)

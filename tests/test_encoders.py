@@ -98,6 +98,32 @@ class TestEventVolume:
         assert np.array_equal(a, b)
 
 
+def test_rect_float32_counts_equal_float64_counts(rng, small_geometry):
+    # one cell takes 100k events in one bin; float32 holds every count exactly
+    geo, dt, bins, t_n = small_geometry, 10_000, 3, 600_000
+    base = make_random_stream(rng, geo, 5_000)
+    hot = 100_000
+    t = np.concatenate([base.t, rng.integers(t_n - dt, t_n, size=hot)])
+    x = np.concatenate([base.x, np.full(hot, 7)])
+    y = np.concatenate([base.y, np.full(hot, 5)])
+    p = np.concatenate([base.p, np.ones(hot, dtype=base.p.dtype)])
+    order = np.argsort(t, kind="stable")
+    stream = EventStream.from_arrays(geo, t[order], x[order], y[order], p[order])
+
+    got = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=bins))
+
+    t_lo = t_n - bins * dt
+    keep = (stream.t >= t_lo) & (stream.t < t_n)
+    b = (stream.t[keep] - t_lo) // dt
+    cell = ((2 * b + stream.p[keep]) * geo.height + stream.y[keep]) * geo.width + stream.x[keep]
+    want = np.zeros(2 * bins * geo.height * geo.width, dtype=np.float64)
+    np.add.at(want, cell.astype(np.int64), 1.0)
+    want = want.reshape(2 * bins, geo.height, geo.width).astype(np.float32)
+    assert got.dtype == np.float32
+    assert got[2 * (bins - 1) + 1, 5, 7] >= hot
+    assert np.array_equal(got, want)
+
+
 def test_triangular_matches_per_event_oracle(rng, small_geometry):
     # slow per-event recomputation of the linear split between bin centers
     dt, bins = 10_000, 4

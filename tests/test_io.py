@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -179,6 +180,27 @@ class TestTensorFile:
             back = read_tensor(path)
             assert back.dtype == np.float32
             assert np.array_equal(back, t)
+
+    def test_write_allocates_less_than_the_tensor(self, tmp_path):
+        # the payload goes to the file from the array's own buffer, not a copy
+        t = np.random.default_rng(3).random((8, 360, 640), dtype=np.float32)
+        path = tmp_path / "t.evtn"
+        tracemalloc.start()
+        try:
+            write_tensor(t, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes
+        assert np.array_equal(read_tensor(path), t)
+
+    def test_views_write_the_packed_bytes(self, rng, tmp_path):
+        t = rng.normal(size=(3, 6, 5)).astype(np.float32)
+        for a in (t[:, ::2], t.transpose(0, 2, 1)):
+            path = tmp_path / "t.evtn"
+            write_tensor(a, path)
+            header = struct.pack("<4sIIIIB", b"EVTN", 1, *a.shape, 0)
+            assert path.read_bytes() == header + np.ascontiguousarray(a, dtype="<f4").tobytes()
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "t.evtn"

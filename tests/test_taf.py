@@ -103,6 +103,24 @@ class TestInitAndRender:
         assert np.array_equal(taf_render(state), expected)
 
 
+    def test_render_equals_the_one_expression(self, rng, small_geometry):
+        # the in-place render against the expression it replaces, bit for bit
+        t_max = small_geometry.t_max_us
+        for k in range(1, 9):
+            stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 400)))
+            state = _run_incremental(stream, int(rng.integers(1, 60)), queue_depth=k)
+            assert (state.mean_ts < 0).any()  # empty slots render too
+            for t_n in (None, state.detection_time_us + int(rng.integers(1, DT))):
+                t_now = float(state.detection_time_us if t_n is None else t_n)
+                scaled = np.clip(((t_now - state.mean_ts) * 1e-4).astype(np.float32), 0.0, None)
+                want = np.clip(
+                    1.0 - np.log1p(scaled) / np.float32(np.log1p(t_max * 1e-4)), 0.0, 1.0
+                ).reshape(2 * k, small_geometry.height, small_geometry.width)
+                got = taf_render(state, t_n)
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want), (k, t_n)
+
+
 class TestStep:
     def test_mean_elapse_of_window_events(self):
         geo = FrameGeometry(4, 4, T_MAX)
