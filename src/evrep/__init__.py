@@ -4,7 +4,9 @@ COCO-style mAP with timestamp-tolerance matching."""
 
 from .augment import AugmentConfig, augment, flip_h, resize_crop
 from .bfm import BfmWeights, FoldStage, bfm_forward, load_weights, random_weights, save_weights
-from .encoders import SaeState, event_count_image, event_volume, sae_init, surface_active_events
+from .encoders import (
+    SaeState, WindowState, event_count_image, event_volume, sae_init, surface_active_events,
+)
 from .evalmap import (
     EvalConfig,
     EvalResult,

@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .augment import AugmentConfig, augment
-from .encoders import event_count_image, event_volume, sae_init, surface_active_events
+from .encoders import WindowState, event_count_image, event_volume, sae_init, surface_active_events
 from .errors import EvrepError, InvalidParamError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
@@ -34,11 +35,12 @@ from .io import (
     read_flow,
     read_levels_csv,
     read_tensor,
+    tensor_file_size,
     write_csv,
     write_levels_csv,
     write_tensor,
 )
-from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, detection_grid
+from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW
 from .motion import bbofd, flow_intensity, motion_levels, sanitize_report
 from .taf import taf_init, temporal_active_focus
 
@@ -98,59 +100,40 @@ def _annotation_times(args: argparse.Namespace) -> list[int] | None:
 
 def _detection_times(
     annotation_times: list[int] | None, geometry: FrameGeometry, params: EncoderParams
-) -> list[int]:
-    """The annotation times if given, each checked against the geometry's
-    [0, t_max], else the periodic grid."""
+) -> tuple[Sequence[int], int]:
+    """The detection times and their count: the annotation times, each checked
+    against the geometry's [0, t_max], else the lazy grid delta_tau, 2 *
+    delta_tau, ... within t_max (a partial last window is dropped). The grid's
+    count is not len(): a range past 2**63 has none."""
     if annotation_times is None:
-        return detection_grid(geometry.t_max_us, params.delta_tau_us)
+        dt, n = params.delta_tau_us, geometry.t_max_us // params.delta_tau_us
+        return range(dt, (n + 1) * dt, dt), n
     for t_n in annotation_times:
         geometry.check_detection_time(t_n)
-    return annotation_times
+    return annotation_times, len(annotation_times)
 
 
 def _tensors(
-    stream: EventStream, rep: str, params: EncoderParams, times: list[int]
-) -> Iterator[tuple[int, TensorCHW]]:
-    """The one loop from a stream to (t_n, tensor) pairs, one per detection time.
+    stream: EventStream, rep: str, params: EncoderParams, times: Sequence[int]
+) -> Iterator[tuple[int, TensorCHW, int]]:
+    """The one loop from a stream to (t_n, tensor, events read so far), one
+    per detection time, through the representation's init and read.
 
-    TAF and SAE fold each step's new events into one running state, so
-    ``times`` must ascend. Volume, count and SAE are looked up in this module
-    at each call, and TAF's window slice, step and render in evrep.taf;
-    evbench/traced_cli.py wraps them there.
+    TAF and SAE fold each step's new events into the state, so ``times`` must
+    ascend. The table is built at each call, so each read is looked up in this
+    module as the loop starts (TAF's window slice, step and render in
+    evrep.taf at each step): evbench/traced_cli.py wraps them there, and a
+    table built at import would keep the unwrapped reads.
     """
-    geo = stream.geometry
-    state = (
-        taf_init(geo, params) if rep == "taf" else sae_init(geo, params) if rep == "sae" else None
-    )
+    init, read = {
+        "taf": (taf_init, temporal_active_focus),
+        "volume": (WindowState, event_volume),
+        "count": (WindowState, event_count_image),
+        "sae": (sae_init, surface_active_events),
+    }[rep]
+    state = init(stream.geometry, params)
     for t_n in times:
-        if rep == "taf":
-            tensor = temporal_active_focus(stream, t_n, state)
-        elif rep == "volume":
-            tensor = event_volume(stream, t_n, params)
-        elif rep == "count":
-            tensor = event_count_image(stream, t_n, params)
-        else:
-            tensor = surface_active_events(stream, t_n, state)
-        yield t_n, tensor
-
-
-def _events_read(
-    stream: EventStream, rep: str, params: EncoderParams, t_prev: int, t_n: int
-) -> int:
-    """Events the encoder reads for its tensor at t_n, after one at t_prev
-    (0 before the first step)."""
-    if rep == "volume":
-        t_lo = t_n - params.bins * params.delta_tau_us
-    elif rep == "count":
-        t_lo = 0
-    elif rep == "taf":
-        # the open period after an off-grid t_prev is read again
-        t_lo = t_prev - t_prev % params.delta_tau_us
-    else:
-        # SAE folds in only the events since the previous step
-        t_lo = t_prev
-    i, j = stream.slice_range(t_lo, t_n)
-    return min(params.recent_events, j - i) if rep == "count" else j - i
+        yield t_n, read(stream, t_n, state), state.events_read
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
@@ -163,7 +146,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     # every file's times, checked against its header, before the first write
     annotation_times = _annotation_times(args)
     plan = [
-        (path, _detection_times(annotation_times, read_events_geometry(path), params))
+        (path, *_detection_times(annotation_times, read_events_geometry(path), params))
         for path in args.events
     ]
     out_dir = Path(args.out_dir)
@@ -171,9 +154,14 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
     written: list[Path] = []
 
-    def encode(path: str, times: list[int]) -> None:
+    def encode(path: str, times: Sequence[int], n_times: int) -> None:
         stream = _load_stream(path)
-        for t_n, tensor in _tensors(stream, args.rep, params, times):
+        for step, (t_n, tensor, _) in enumerate(_tensors(stream, args.rep, params, times)):
+            if not step:  # a grid far past the last event would write until the disk is full
+                need, free = n_times * tensor_file_size(tensor), shutil.disk_usage(out_dir).free
+                if need > free:
+                    raise EvrepError(f"{path}: {n_times} tensor file(s) need {need} bytes, "
+                                     f"but {out_dir} has {free} free")
             out = out_dir / f"{Path(path).stem}_{t_n}.evtn"
             written.append(out)  # before the write starts, so a failed write goes too
             write_tensor(tensor, out)
@@ -195,31 +183,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Time each step of the encode loop on a stream held in memory; write no tensors."""
     params = _encoder_params(args)
     stream = _load_stream(args.events)
-    times = _detection_times(_annotation_times(args), stream.geometry, params)
+    times, n_times = _detection_times(_annotation_times(args), stream.geometry, params)
     if args.warmup < 0:
         raise _UsageError("--warmup must be non-negative")
     if args.steps is not None:
-        if not 0 < args.steps <= len(times):
-            raise _UsageError(f"--steps must lie in [1, {len(times)}], one per detection time")
-        times = times[: args.steps]
-    if len(times) <= args.warmup:
-        raise _UsageError(
-            f"{len(times)} steps leave no samples after {args.warmup} warm-up steps"
-        )
+        if not 0 < args.steps <= n_times:
+            raise _UsageError(f"--steps must lie in [1, {n_times}], one per detection time")
+        times, n_times = times[: args.steps], args.steps
+    if n_times <= args.warmup:
+        raise _UsageError(f"{n_times} steps leave no samples after {args.warmup} warm-up steps")
 
     tensors = _tensors(stream, args.rep, params, times)
     clock = time.perf_counter
     samples_us: list[float] = []
-    events_processed = 0
-    t_prev = 0
-    for step, t_n in enumerate(times):
+    events_processed = events_before = 0
+    for step in range(n_times):
         start = clock()
-        next(tensors)
+        _, _, events_read = next(tensors)
         elapsed = (clock() - start) * 1e6
         if step >= args.warmup:
             samples_us.append(elapsed)
-            events_processed += _events_read(stream, args.rep, params, t_prev, t_n)
-        t_prev = t_n
+            events_processed += events_read - events_before
+        events_before = events_read
     ordered, n = sorted(samples_us), len(samples_us)
     median_us = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
     # p95 is the nearest-rank percentile: the ceil(0.95 n)-th smallest sample

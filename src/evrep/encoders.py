@@ -6,14 +6,17 @@ Three encoders returning float32 (C, H, W) tensors:
 * event_count_image:     2 channels; per-pixel counts of the most recent N events
 * surface_active_events: 2 channels; exp-decayed latest-event timestamps
 
-Volume and count are pure functions of (stream, t_n, params), where params
-is the checked EncoderParams. SAE steps a running SaeState, built by
-sae_init from the geometry and params: the latest timestamp per cell, into
-which each call folds only the events since the previous call's t_n (a
-one-slot TAF), so a run over ascending detection times costs one window per
-step, not the whole prefix. Decay stays implicit until the render, as TAF's
-aging does. No encoder checks a parameter domain; EncoderParams and
-FrameGeometry do.
+Each, like TAF, is an init (geometry, params) -> state and a read (stream,
+t_n, state) -> tensor. A state keeps its geometry and the checked params its
+read needs, and counts in events_read the events its reads slice; a stream
+of another geometry raises EvrepError before the state is touched. Volume
+and count share WindowState, built by its constructor, and their tensors
+stay pure functions of (stream, t_n, params). SAE steps a running SaeState
+(sae_init): the latest timestamp per cell, into which each call folds only
+the events since the previous call's t_n (a one-slot TAF), so a run over
+ascending times costs one window per step, not the whole prefix. Decay
+stays implicit until the render, as TAF's aging does. No encoder checks a
+parameter domain; EncoderParams and FrameGeometry do.
 
 Channel layout is polarity-separated everywhere: volume channel c = 2b + p
 (bin 0 oldest), the two-channel encoders use channel index = polarity.
@@ -29,22 +32,33 @@ from .errors import EvrepError
 from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW
 
 
-def event_volume(stream: EventStream, t_n: int, params: EncoderParams) -> TensorCHW:
+@dataclass
+class WindowState:
+    """The volume and count reads' state: geometry, params and events read so far."""
+
+    geometry: FrameGeometry
+    params: EncoderParams
+    events_read: int = 0
+
+
+def event_volume(stream: EventStream, t_n: int, state: WindowState) -> TensorCHW:
     """Accumulate events of the window [t_n - bins*delta_tau, t_n) into 2*bins channels.
 
-    params.kernel spreads each event over the bins. The rect kernel adds 1
+    state.params.kernel spreads each event over the bins. The rect kernel adds 1
     to the bin containing each event, so total tensor mass equals the
     in-window event count. The triangular kernel splits each event linearly
     between the two nearest bin centers; mass falling outside the first/last
     bin center is clipped.
     """
-    geo = stream.geometry
+    geo, params = state.geometry, state.params
+    geo.check_stream(stream)
     geo.check_detection_time(t_n)
 
     h, w = geo.height, geo.width
     bins, delta_tau_us = params.bins, params.delta_tau_us
     t_lo = t_n - bins * delta_tau_us
     i, j = stream.slice_range(t_lo, t_n)
+    state.events_read += j - i
     t = stream.t[i:j]
     x = stream.x[i:j].astype(np.int64)
     y = stream.y[i:j].astype(np.int64)
@@ -74,14 +88,16 @@ def event_volume(stream: EventStream, t_n: int, params: EncoderParams) -> Tensor
     return out.astype(np.float32, copy=False)
 
 
-def event_count_image(stream: EventStream, t_n: int, params: EncoderParams) -> TensorCHW:
+def event_count_image(stream: EventStream, t_n: int, state: WindowState) -> TensorCHW:
     """Per-pixel, per-polarity counts of the last min(N, available) events before t_n."""
-    geo = stream.geometry
+    geo = state.geometry
+    geo.check_stream(stream)
     geo.check_detection_time(t_n)
 
     h, w = geo.height, geo.width
     j = int(np.searchsorted(stream.t, t_n, side="left"))
-    i = max(0, j - params.recent_events)
+    i = max(0, j - state.params.recent_events)
+    state.events_read += j - i
     x = stream.x[i:j].astype(np.int64)
     y = stream.y[i:j].astype(np.int64)
     p = stream.p[i:j].astype(np.int64)
@@ -104,6 +120,7 @@ class SaeState:
     decay_per_us: float
     latest: np.ndarray
     t_n: int = 0
+    events_read: int = 0
 
 
 def sae_init(geometry: FrameGeometry, params: EncoderParams) -> SaeState:
@@ -132,6 +149,7 @@ def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> Ten
 
     h, w = geo.height, geo.width
     i, j = stream.slice_range(state.t_n, t_n)
+    state.events_read += j - i
     x = stream.x[i:j].astype(np.int64)
     y = stream.y[i:j].astype(np.int64)
     p = stream.p[i:j].astype(np.int64)

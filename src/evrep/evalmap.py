@@ -268,12 +268,11 @@ def map_by_level(
 
     ``levels`` assigns one level per annotation (same order). ``removed_boxes``
     are sanitize-dropped boxes; detections overlapping them are excused from
-    every level's false positives.
+    every level's false positives. No annotations give map_metric's 0, with
+    its warning, and no level a value.
     """
     if len(levels) != len(annotations):
         raise EvrepError(f"{len(annotations)} annotations but {len(levels)} level assignments")
-    if not annotations:
-        raise EvrepError("need at least one annotation")
 
     overall = map_metric(detections, annotations, cfg)
 

@@ -39,8 +39,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvrepError, ParseError
-from .model import Annotation, Detection, EventStream, FlowField, FrameGeometry, ensure_tensor_chw
+from .errors import EvrepError, InvalidParamError, ParseError
+from .model import Annotation, Detection, EventStream, FlowField, FrameGeometry
 
 EVENT_MAGIC = b"EVST"
 TENSOR_MAGIC = b"EVTN"
@@ -195,13 +195,25 @@ def write_events_csv(stream: EventStream) -> str:
 
 
 def write_tensor(t: np.ndarray, path: str | Path) -> None:
-    """Write a float32 (C, H, W) tensor to the .evtn container."""
-    a = ensure_tensor_chw(t)
+    """Write a finite float32 (C, H, W) tensor, of either byte order, to the
+    .evtn container."""
+    a = np.asarray(t)
+    if a.ndim != 3:
+        raise InvalidParamError(f"expected a (C, H, W) tensor, got shape {a.shape}")
+    if a.dtype not in (np.dtype("<f4"), np.dtype(">f4")):
+        raise InvalidParamError(f"expected float32 data, got {a.dtype}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParamError("tensor contains non-finite values")
     c, h, w = a.shape
     payload = np.ascontiguousarray(a, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(_TENSOR_HEADER.pack(TENSOR_MAGIC, 1, c, h, w, 0))
         fh.write(memoryview(payload).cast("B"))
+
+
+def tensor_file_size(t: np.ndarray) -> int:
+    """Bytes of the .evtn file write_tensor writes for t."""
+    return _TENSOR_HEADER.size + 4 * t.size
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -24,18 +24,6 @@ from .errors import EvrepError, InvalidParamError
 TensorCHW = np.ndarray
 
 
-def ensure_tensor_chw(t: np.ndarray) -> TensorCHW:
-    """Validate that ``t`` is a finite float32 (C, H, W) tensor and return it."""
-    a = np.asarray(t)
-    if a.ndim != 3:
-        raise InvalidParamError(f"expected a (C, H, W) tensor, got shape {a.shape}")
-    if a.dtype != np.float32:
-        raise InvalidParamError(f"expected float32 data, got {a.dtype}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParamError("tensor contains non-finite values")
-    return a
-
-
 @dataclass(frozen=True)
 class FrameGeometry:
     """Sensor picture size plus the maximum record duration in microseconds."""
@@ -241,13 +229,3 @@ class EncoderParams:
             raise InvalidParamError("queue_depth must lie in [1, 2**31)")
         if self.kernel not in ("rect", "triangular"):
             raise InvalidParamError(f"unknown kernel {self.kernel!r}")
-
-
-def detection_grid(t_max_us: int, delta_tau_us: int) -> list[int]:
-    """Detection times delta_tau_us, 2 * delta_tau_us, ..., every one within t_max_us.
-
-    A partial last window is dropped, not clipped, which keeps a grid
-    encode's file count as it has always been; a time off the grid, t_max_us
-    included, is read through --at-annotations.
-    """
-    return [(n + 1) * delta_tau_us for n in range(t_max_us // delta_tau_us)]

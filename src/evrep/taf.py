@@ -69,7 +69,8 @@ class TafState:
     period, slot 0 newest; an empty slot holds _EMPTY (negative, while
     every filled slot is >= 0). A push shifts a cell's slots toward the
     back (the eldest falls off), so only cells that fired in a step are
-    ever touched.
+    ever touched. events_read counts the events of every window stepped or
+    read as the open period.
     """
 
     geometry: FrameGeometry
@@ -77,6 +78,7 @@ class TafState:
     delta_tau_us: int
     step_index: int
     mean_ts: np.ndarray
+    events_read: int = 0
 
     @property
     def detection_time_us(self) -> int:
@@ -156,6 +158,7 @@ def taf_step(state: TafState, window: WindowView) -> TafState:
     if len(window):
         _push(state, *_window_mean_timestamps(window, geo.height, geo.width))
 
+    state.events_read += len(window)
     state.step_index += 1
     return state
 
@@ -212,6 +215,7 @@ def temporal_active_focus(stream: EventStream, t_n: int, state: TafState) -> Ten
     if t_n == t_lo:  # on the grid: no open window is built
         return taf_render(state)
     window = WindowView.from_stream(stream, t_lo, t_n, t_n)
+    state.events_read += len(window)
     if not len(window):
         return taf_render(state, t_n)
     active, mu = _window_mean_timestamps(window, geo.height, geo.width)

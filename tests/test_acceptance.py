@@ -12,7 +12,13 @@ import numpy as np
 
 from evrep.augment import AugmentConfig, augment, flip_h
 from evrep.bfm import bfm_forward, random_weights
-from evrep.encoders import event_count_image, event_volume, sae_init, surface_active_events
+from evrep.encoders import (
+    WindowState,
+    event_count_image,
+    event_volume,
+    sae_init,
+    surface_active_events,
+)
 from evrep.evalmap import EvalConfig, map_metric
 from evrep.io import (
     read_annotations_csv,
@@ -136,15 +142,15 @@ def test_representation_timing():
 
     t_n = 10 * DT
     params = EncoderParams(delta_tau_us=DT, bins=5, recent_events=50_000)
-    event_volume(stream, t_n, params)
-    event_count_image(stream, t_n, params)
+    event_volume(stream, t_n, WindowState(stream.geometry, params))
+    event_count_image(stream, t_n, WindowState(stream.geometry, params))
     vol, cnt = [], []
     for _ in range(9):
         t0 = time.perf_counter()
-        event_volume(stream, t_n, params)
+        event_volume(stream, t_n, WindowState(stream.geometry, params))
         vol.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        event_count_image(stream, t_n, params)
+        event_count_image(stream, t_n, WindowState(stream.geometry, params))
         cnt.append(time.perf_counter() - t0)
     assert sorted(cnt)[4] < sorted(vol)[4]
 
@@ -158,12 +164,16 @@ def test_encoder_mass_conservation():
         t_n = int(rng.integers(1, geo.t_max_us))
         dt = int(rng.integers(1_000, 100_000))
         b = int(rng.integers(1, 7))
-        volume = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b))
+        volume = event_volume(
+            stream, t_n, WindowState(stream.geometry, EncoderParams(delta_tau_us=dt, bins=b))
+        )
         in_window = int(np.sum((stream.t >= t_n - b * dt) & (stream.t < t_n)))
         assert float(volume.sum()) == in_window
 
         n = int(rng.integers(1, 1500))
-        image = event_count_image(stream, t_n, EncoderParams(recent_events=n))
+        image = event_count_image(
+            stream, t_n, WindowState(stream.geometry, EncoderParams(recent_events=n))
+        )
         available = int(np.searchsorted(stream.t, t_n, side="left"))
         assert float(image.sum()) == min(n, available)
 

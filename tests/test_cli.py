@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 import evrep.cli
 from evrep.cli import main
-from evrep.encoders import event_volume
+from evrep.encoders import WindowState, event_volume
 from evrep.io import (
     read_events_binary,
     read_tensor,
@@ -42,6 +45,23 @@ def one_second_stream(rng, tmp_path):
 
 def _run(*argv) -> int:
     return main(list(argv))
+
+
+# the CLI in a child process that caps its own address space at 1 GiB first, so
+# a run that grows without bound ends in MemoryError, not in the machine's memory
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from evrep.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run_capped(*argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", _CAPPED, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestEncode:
@@ -233,9 +253,12 @@ class TestEncode:
         params = EncoderParams(delta_tau_us=100_000, bins=3, kernel="triangular")
         for path in files:
             t_n = int(path.stem.rsplit("_", 1)[1])
-            expected = event_volume(stream, t_n, params)
+            expected = event_volume(stream, t_n, WindowState(stream.geometry, params))
             assert np.array_equal(read_tensor(path), expected)
-        rect = event_volume(stream, 1_000_000, EncoderParams(delta_tau_us=100_000, bins=3))
+        rect = event_volume(
+            stream, 1_000_000,
+            WindowState(stream.geometry, EncoderParams(delta_tau_us=100_000, bins=3)),
+        )
         assert not np.array_equal(read_tensor(out / "events_1000000.evtn"), rect)
 
     def test_config_value_of_wrong_type_is_usage_error(self, one_second_stream, tmp_path, capsys):
@@ -494,15 +517,38 @@ class TestBench:
     def test_kernel_is_honoured(self, one_second_stream, monkeypatch):
         kernels = []
 
-        def spy(stream, t_n, params):
-            kernels.append(params.kernel)
-            return event_volume(stream, t_n, params)
+        def spy(stream, t_n, state):
+            kernels.append(state.params.kernel)
+            return event_volume(stream, t_n, state)
 
         monkeypatch.setattr(evrep.cli, "event_volume", spy)
         code = _run("bench", "--rep", "volume", "--events", str(one_second_stream),
                     "--steps", "4", "--warmup", "1", "--kernel", "triangular")
         assert code == 0
         assert kernels == ["triangular"] * 4
+
+
+class TestHugeGrid:
+    """A header's t_max alone sets the grid: a huge one neither builds it nor
+    writes until the disk is full. Run only under _run_capped."""
+
+    @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
+    @pytest.mark.parametrize("t_max,delta_tau", [(2**63, 10_000), (2**64 - 1, 1)],
+                             ids=["t_max-2**63", "t_max-2**64-1"])
+    def test_encode_refuses_and_bench_runs(self, rep, t_max, delta_tau, tmp_path):
+        events = tmp_path / "huge.evs"
+        events.write_bytes(struct.pack("<4sIHHQ", b"EVST", 1, 8, 6, t_max))
+        out = tmp_path / "out"
+        common = ["--rep", rep, "--events", events, "--delta-tau-us", delta_tau]
+        encode = _run_capped("encode", *common, "--out-dir", out)
+        assert encode.returncode == 2
+        n_steps = t_max // delta_tau
+        assert encode.stderr.startswith(f"evrep: {events}: {n_steps} tensor file(s) need ")
+        assert encode.stderr.endswith(" free\n") and len(encode.stderr.splitlines()) == 1
+        assert not list(out.iterdir())
+        bench = _run_capped("bench", *common, "--steps", 5, "--warmup", 0)
+        assert (bench.returncode, bench.stderr) == (0, "")
+        assert "steps: 5 (after 0 warm-up)" in bench.stdout
 
 
 class TestExitCodes:
@@ -780,6 +826,29 @@ class TestEval:
         assert "level 1 mAP: 1.0000" in out
         assert "level 5 mAP: 1.0000" in out
         assert "level 2 mAP: n/a" in out
+
+    @pytest.mark.parametrize("boxes", [
+        [],
+        # one box out of frame, and an overlapping pair
+        [Annotation(0, 40, 40, 4, 4, 0), Annotation(0, 1, 1, 4, 4, 0), Annotation(0, 2, 2, 4, 4, 1)],
+    ], ids=["no-annotation", "sanitization-drops-every-box"])
+    def test_empty_ground_truth_with_levels_scores_zero(self, boxes, tmp_path, capsys):
+        dets = tmp_path / "d.csv"
+        dets.write_text(write_detections_csv([Detection(0, 1, 1, 4, 4, 0, 0.9)]))
+        empty, anns = tmp_path / "empty.csv", tmp_path / "a.csv"
+        empty.write_text(write_annotations_csv([]))
+        anns.write_text(write_annotations_csv(boxes))
+        levels = tmp_path / "levels.csv"
+        levels.write_text("t,box_index,bbofd,level\n")
+        assert _run("eval", "--detections", str(dets), "--annotations", str(empty)) == 0
+        plain = capsys.readouterr().out.splitlines()
+        code = _run("eval", "--detections", str(dets), "--annotations", str(anns),
+                    "--levels", str(levels), "--width", "32", "--height", "24")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "overall mAP: 0.0000", *(f"level {lv} mAP: n/a" for lv in range(1, 6)), *plain[1:],
+        ]
+        assert plain[-1] == "warning: no ground truth classes; mAP defined as 0"
 
     def test_level_outside_one_to_five_is_data_error(self, tmp_path, capsys):
         levels = tmp_path / "levels.csv"

@@ -1,12 +1,20 @@
+import copy
 import math
 import re
 
 import numpy as np
 import pytest
 
-from evrep.encoders import event_count_image, event_volume, sae_init, surface_active_events
+from evrep.encoders import (
+    WindowState,
+    event_count_image,
+    event_volume,
+    sae_init,
+    surface_active_events,
+)
 from evrep.errors import EvrepError, InvalidParamError
 from evrep.model import EncoderParams, EventStream, FrameGeometry
+from evrep.taf import taf_init, temporal_active_focus
 
 from conftest import make_random_stream
 from encoders_oracle import sae_batch_oracle
@@ -21,7 +29,7 @@ def _window_count(stream, t_lo, t_hi) -> int:
 class TestEventVolume:
     def test_empty_stream_gives_zero_tensor(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [], [], [], [])
-        vol = event_volume(stream, 500_000, PARAMS)
+        vol = event_volume(stream, 500_000, WindowState(stream.geometry, PARAMS))
         assert vol.shape == (10, small_geometry.height, small_geometry.width)
         assert not vol.any()
 
@@ -31,7 +39,9 @@ class TestEventVolume:
             t_n = int(rng.integers(1, small_geometry.t_max_us))
             dt = int(rng.integers(1000, 100_000))
             b = int(rng.integers(1, 8))
-            vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b))
+            vol = event_volume(
+                stream, t_n, WindowState(stream.geometry, EncoderParams(delta_tau_us=dt, bins=b))
+            )
             assert vol.sum() == _window_count(stream, t_n - b * dt, t_n)
 
     def test_default_bin_placement(self):
@@ -39,7 +49,7 @@ class TestEventVolume:
         geo = FrameGeometry(8, 8, 1_000_000)
         t_n = 200_000
         stream = EventStream.from_arrays(geo, [t_n - 1], [3], [4], [1])
-        vol = event_volume(stream, t_n, PARAMS)
+        vol = event_volume(stream, t_n, WindowState(stream.geometry, PARAMS))
         assert vol[9, 4, 3] == 1.0
         assert vol.sum() == 1.0
 
@@ -47,13 +57,13 @@ class TestEventVolume:
         geo = FrameGeometry(4, 4, 1_000_000)
         t_n = 50_000
         stream = EventStream.from_arrays(geo, [0, 49_999], [0, 0], [0, 0], [0, 0])
-        vol = event_volume(stream, t_n, PARAMS)
+        vol = event_volume(stream, t_n, WindowState(stream.geometry, PARAMS))
         assert vol[0, 0, 0] == 1.0   # event at t=0 -> oldest bin
         assert vol[8, 0, 0] == 1.0   # event just before t_n -> newest bin
 
     def test_events_outside_window_ignored(self, small_geometry):
         stream = EventStream.from_arrays(small_geometry, [100, 900_000], [1, 1], [1, 1], [0, 0])
-        vol = event_volume(stream, 500_000, PARAMS)
+        vol = event_volume(stream, 500_000, WindowState(stream.geometry, PARAMS))
         assert vol.sum() == 0.0
 
     def test_triangular_conserves_interior_mass(self, rng, small_geometry):
@@ -68,7 +78,10 @@ class TestEventVolume:
             rng.integers(0, small_geometry.height, 500),
             rng.integers(0, 2, 500),
         )
-        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b, kernel="triangular"))
+        vol = event_volume(
+            stream, t_n,
+            WindowState(stream.geometry, EncoderParams(delta_tau_us=dt, bins=b, kernel="triangular")),
+        )
         assert math.isclose(float(vol.sum()), 500.0, rel_tol=1e-4)
 
     def test_triangular_splits_between_bin_centers(self):
@@ -77,7 +90,10 @@ class TestEventVolume:
         t_n = 20_000
         # event at 12 500 sits 3/4 of the way from bin-0 center to bin-1 center
         stream = EventStream.from_arrays(geo, [12_500], [2], [1], [0])
-        vol = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=b, kernel="triangular"))
+        vol = event_volume(
+            stream, t_n,
+            WindowState(stream.geometry, EncoderParams(delta_tau_us=dt, bins=b, kernel="triangular")),
+        )
         assert math.isclose(float(vol[0, 1, 2]), 0.25, abs_tol=1e-7)
         assert math.isclose(float(vol[2, 1, 2]), 0.75, abs_tol=1e-7)
 
@@ -85,7 +101,7 @@ class TestEventVolume:
         stream = make_random_stream(rng, small_geometry, 10)
         expected = r"^detection timestamp 1000001 outside \[0, 1000000\]$"
         with pytest.raises(EvrepError, match=expected):
-            event_volume(stream, small_geometry.t_max_us + 1, PARAMS)
+            event_volume(stream, small_geometry.t_max_us + 1, WindowState(stream.geometry, PARAMS))
 
     def test_unknown_kernel(self):
         with pytest.raises(InvalidParamError, match="^unknown kernel 'gauss'$"):
@@ -93,8 +109,8 @@ class TestEventVolume:
 
     def test_purity(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 500)
-        a = event_volume(stream, 800_000, PARAMS)
-        b = event_volume(stream, 800_000, PARAMS)
+        a = event_volume(stream, 800_000, WindowState(stream.geometry, PARAMS))
+        b = event_volume(stream, 800_000, WindowState(stream.geometry, PARAMS))
         assert np.array_equal(a, b)
 
 
@@ -110,7 +126,9 @@ def test_rect_float32_counts_equal_float64_counts(rng, small_geometry):
     order = np.argsort(t, kind="stable")
     stream = EventStream.from_arrays(geo, t[order], x[order], y[order], p[order])
 
-    got = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=bins))
+    got = event_volume(
+        stream, t_n, WindowState(stream.geometry, EncoderParams(delta_tau_us=dt, bins=bins))
+    )
 
     t_lo = t_n - bins * dt
     keep = (stream.t >= t_lo) & (stream.t < t_n)
@@ -129,7 +147,10 @@ def test_triangular_matches_per_event_oracle(rng, small_geometry):
     dt, bins = 10_000, 4
     t_n = 600_000
     stream = make_random_stream(rng, small_geometry, 400)
-    got = event_volume(stream, t_n, EncoderParams(delta_tau_us=dt, bins=bins, kernel="triangular"))
+    got = event_volume(
+        stream, t_n,
+        WindowState(stream.geometry, EncoderParams(delta_tau_us=dt, bins=bins, kernel="triangular")),
+    )
 
     want = np.zeros_like(got, dtype=np.float64)
     t_lo = t_n - bins * dt
@@ -151,8 +172,12 @@ def test_triangular_matches_per_event_oracle(rng, small_geometry):
 def test_all_encoders_pure(rng, small_geometry):
     stream = make_random_stream(rng, small_geometry, 600)
     for encode in (
-        lambda: event_volume(stream, 700_000, EncoderParams(kernel="triangular")),
-        lambda: event_count_image(stream, 700_000, EncoderParams(recent_events=250)),
+        lambda: event_volume(
+            stream, 700_000, WindowState(stream.geometry, EncoderParams(kernel="triangular"))
+        ),
+        lambda: event_count_image(
+            stream, 700_000, WindowState(stream.geometry, EncoderParams(recent_events=250))
+        ),
         lambda: surface_active_events(stream, 700_000, sae_init(stream.geometry, PARAMS)),
     ):
         assert np.array_equal(encode(), encode())
@@ -162,7 +187,9 @@ class TestEventCountImage:
     def test_fewer_events_than_n(self, small_geometry):
         t = [10, 20, 30, 40, 50]
         stream = EventStream.from_arrays(small_geometry, t, [1] * 5, [2] * 5, [1] * 5)
-        img = event_count_image(stream, 100, EncoderParams(recent_events=10))
+        img = event_count_image(
+            stream, 100, WindowState(stream.geometry, EncoderParams(recent_events=10))
+        )
         assert img.sum() == 5.0
         assert img[1, 2, 1] == 5.0
 
@@ -176,7 +203,9 @@ class TestEventCountImage:
             [3, 3, 3, 6, 6],
             [1, 1, 1, 0, 0],
         )
-        img = event_count_image(stream, 10, EncoderParams(recent_events=4))
+        img = event_count_image(
+            stream, 10, WindowState(stream.geometry, EncoderParams(recent_events=4))
+        )
         assert img[1, 3, 2] == 2.0
         assert img[0, 6, 5] == 2.0
         assert img.sum() == 4.0
@@ -186,21 +215,27 @@ class TestEventCountImage:
             stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 1500)))
             t_n = int(rng.integers(1, small_geometry.t_max_us))
             n = int(rng.integers(1, 2000))
-            img = event_count_image(stream, t_n, EncoderParams(recent_events=n))
+            img = event_count_image(
+                stream, t_n, WindowState(stream.geometry, EncoderParams(recent_events=n))
+            )
             available = int(np.searchsorted(stream.t, t_n, side="left"))
             assert img.sum() == min(n, available)
 
     def test_invariant_to_future_events(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 800)
         t_n = 500_000
-        before = event_count_image(stream, t_n, EncoderParams(recent_events=100))
+        before = event_count_image(
+            stream, t_n, WindowState(stream.geometry, EncoderParams(recent_events=100))
+        )
         # replay with the future suffix removed
         keep = stream.t < t_n
         trimmed = EventStream.from_arrays(
             small_geometry, stream.t[keep], stream.x[keep], stream.y[keep], stream.p[keep]
         )
         assert np.array_equal(
-            before, event_count_image(trimmed, t_n, EncoderParams(recent_events=100))
+            before, event_count_image(
+                trimmed, t_n, WindowState(trimmed.geometry, EncoderParams(recent_events=100))
+            )
         )
 
 
@@ -309,11 +344,22 @@ class TestSaeIncremental:
         got = surface_active_events(stream, 600_000, state)
         assert np.array_equal(got, sae_batch_oracle(stream, 600_000, 1e-5))
 
-    def test_stream_of_another_geometry_raises(self, rng, small_geometry):
-        state = sae_init(small_geometry, PARAMS)
-        larger = FrameGeometry(64, 48, 1_000_000)  # small_geometry is 32 x 24
-        stream = make_random_stream(rng, larger, 500)
-        expected = f"stream geometry {larger} is not {small_geometry}"
-        with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
-            surface_active_events(stream, 500_000, state)
-        assert state.t_n == 0
+
+@pytest.mark.parametrize("init,read", [
+    (taf_init, temporal_active_focus),
+    (WindowState, event_volume),
+    (WindowState, event_count_image),
+    (sae_init, surface_active_events),
+], ids=["taf", "volume", "count", "sae"])
+def test_stream_of_another_geometry_raises(init, read, rng, small_geometry):
+    state = init(small_geometry, PARAMS)
+    before = copy.deepcopy(vars(state))
+    larger = FrameGeometry(64, 48, 1_000_000)  # small_geometry is 32 x 24
+    stream = make_random_stream(rng, larger, 500)
+    expected = f"stream geometry {larger} is not {small_geometry}"
+    with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
+        read(stream, 500_000, state)
+    # the rejected read leaves the state as it was
+    assert state.events_read == 0
+    for name, value in before.items():
+        assert np.array_equal(getattr(state, name), value), name

@@ -19,6 +19,7 @@ from evrep.io import (
     read_flow,
     read_levels_csv,
     read_tensor,
+    tensor_file_size,
     write_annotations_csv,
     write_detections_csv,
     write_events_binary,
@@ -180,6 +181,17 @@ class TestTensorFile:
             back = read_tensor(path)
             assert back.dtype == np.float32
             assert np.array_equal(back, t)
+
+    def test_big_endian_float32_round_trip_bitwise(self, rng, tmp_path):
+        t = rng.normal(size=(3, 6, 5)).astype(np.float32)
+        little, big = tmp_path / "le.evtn", tmp_path / "be.evtn"
+        write_tensor(t, little)
+        write_tensor(t.astype(">f4"), big)
+        assert big.read_bytes() == little.read_bytes()
+        assert big.stat().st_size == tensor_file_size(t)
+        back = read_tensor(big)
+        assert back.dtype == np.float32
+        assert back.tobytes() == t.tobytes()
 
     def test_write_allocates_less_than_the_tensor(self, tmp_path):
         # the payload goes to the file from the array's own buffer, not a copy

@@ -295,15 +295,6 @@ class TestTemporalActiveFocus:
                 stream, small_geometry.t_max_us + 1, taf_init(small_geometry, PARAMS)
             )
 
-    def test_stream_of_another_geometry_raises(self, rng, small_geometry):
-        state = taf_init(small_geometry, PARAMS)
-        larger = FrameGeometry(64, 48, 1_000_000)  # small_geometry is 32 x 24
-        stream = make_random_stream(rng, larger, 500)
-        expected = f"stream geometry {larger} is not {small_geometry}"
-        with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
-            temporal_active_focus(stream, 500_000, state)
-        assert state.step_index == 0
-
 
 def test_temporal_active_focus_on_grid_equals_step_and_render(rng, small_geometry):
     stream = make_random_stream(rng, small_geometry, 1000)
