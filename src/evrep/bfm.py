@@ -230,17 +230,13 @@ def save_weights(weights: BfmWeights, directory: str | Path) -> None:
 
     manifest: dict = {"version": 1, "queue_depth": weights.queue_depth, "stages": []}
     for i, stage in enumerate(weights.stages):
-        names = {
-            "weights": f"stage{i}.weights.evtn",
-            "bias": f"stage{i}.bias.evtn",
-            "scale": f"stage{i}.scale.evtn",
-        }
+        names = {k: f"stage{i}.{k}.evtn" for k in ("weights", "bias", "scale")}
         write_tensor(stage.weights, directory / names["weights"])
         write_tensor(stage.bias[None, ...], directory / names["bias"])
         write_tensor(stage.scale[None, ...], directory / names["scale"])
         manifest["stages"].append(names)
 
-    mlp_names = {"w1": "mlp.w1.evtn", "b1": "mlp.b1.evtn", "w2": "mlp.w2.evtn", "b2": "mlp.b2.evtn"}
+    mlp_names = {k: f"mlp.{k}.evtn" for k in ("w1", "b1", "w2", "b2")}
     write_tensor(weights.mlp_w1[None, ...], directory / mlp_names["w1"])
     write_tensor(weights.mlp_b1[None, None, ...], directory / mlp_names["b1"])
     write_tensor(weights.mlp_w2[None, ...], directory / mlp_names["w2"])
@@ -251,27 +247,27 @@ def save_weights(weights: BfmWeights, directory: str | Path) -> None:
 
 
 def load_weights(directory: str | Path) -> BfmWeights:
-    """Inverse of save_weights."""
+    """Inverse of save_weights. A manifest that is not the object save_weights
+    writes raises EvrepError."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("version") != 1:
-        raise EvrepError(f"unsupported weight manifest version {manifest.get('version')}")
-
-    stages = []
-    for entry in manifest["stages"]:
-        stages.append(
-            FoldStage(
-                weights=read_tensor(directory / entry["weights"]),
-                bias=read_tensor(directory / entry["bias"])[0],
-                scale=read_tensor(directory / entry["scale"])[0],
-            )
-        )
-    mlp = manifest["mlp"]
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        if manifest.get("version") != 1:
+            raise EvrepError(f"unsupported weight manifest version {manifest.get('version')}")
+        queue_depth = int(manifest["queue_depth"])
+        stages = [[directory / e[k] for k in ("weights", "bias", "scale")]
+                  for e in manifest["stages"]]
+        w1, b1, w2, b2 = (directory / manifest["mlp"][k] for k in ("w1", "b1", "w2", "b2"))
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        why = f"{type(exc).__name__}: {exc}"
+        raise EvrepError(f"{path}: malformed weight manifest ({why})") from None
     return BfmWeights(
-        queue_depth=int(manifest["queue_depth"]),
-        stages=tuple(stages),
-        mlp_w1=read_tensor(directory / mlp["w1"])[0],
-        mlp_b1=read_tensor(directory / mlp["b1"])[0, 0],
-        mlp_w2=read_tensor(directory / mlp["w2"])[0],
-        mlp_b2=read_tensor(directory / mlp["b2"])[0, 0],
+        queue_depth=queue_depth,
+        stages=tuple(FoldStage(read_tensor(w), read_tensor(b)[0], read_tensor(s)[0])
+                     for w, b, s in stages),
+        mlp_w1=read_tensor(w1)[0],
+        mlp_b1=read_tensor(b1)[0, 0],
+        mlp_w2=read_tensor(w2)[0],
+        mlp_b2=read_tensor(b2)[0, 0],
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
 import sys
 import time
@@ -55,11 +56,11 @@ _REP_PARAMS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse terminates usage errors with status 2; this tool reserves 2
-    for data errors, so remap to 1, and print the one line every other usage
-    error prints, without argparse's usage block."""
+    for data errors, so a usage error argparse finds takes main's one path:
+    exit 1 and one line, without argparse's usage block."""
 
     def error(self, message):
-        self.exit(1, f"evrep: error: {message}\n")
+        raise _UsageError(message)
 
 
 def _load_stream(path: str) -> EventStream:
@@ -192,6 +193,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         times, n_times = times[: args.steps], args.steps
     if n_times <= args.warmup:
         raise _UsageError(f"{n_times} steps leave no samples after {args.warmup} warm-up steps")
+    # a grid far past the last event would time until memory runs out
+    need = 8 * (n_times - args.warmup)  # bytes, at least 8 per sample kept
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise EvrepError(f"{args.events}: {n_times - args.warmup} samples need {need} bytes, "
+                         f"but the machine has {have} bytes")
 
     tensors = _tensors(stream, args.rep, params, times)
     clock = time.perf_counter
@@ -438,8 +445,8 @@ def _parse_with_config(
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             args = _parse_with_config(parser, argv, args)
         return args.func(args)

@@ -18,8 +18,11 @@ ascending times costs one window per step, not the whole prefix. Decay
 stays implicit until the render, as TAF's aging does. No encoder checks a
 parameter domain; EncoderParams and FrameGeometry do.
 
-Channel layout is polarity-separated everywhere: volume channel c = 2b + p
-(bin 0 oldest), the two-channel encoders use channel index = polarity.
+Every read finds an event's cell with FrameGeometry.cells, the polarity-major
+order of every tensor's channels: volume channel c = 2b + p (bin 0 oldest),
+count and SAE channel = polarity. The count image is the one-bin rect volume
+of its last N events, and both count through _accumulate, in float32 below
+2**24 events.
 """
 
 from __future__ import annotations
@@ -41,6 +44,18 @@ class WindowState:
     events_read: int = 0
 
 
+def _accumulate(shape: tuple, cells: np.ndarray, mass: np.ndarray | None = None) -> TensorCHW:
+    """Zeros of shape plus, at each flat index in cells, its mass (default 1),
+    summed in the order given by one np.add.at. Unit counts of fewer than
+    2**24 events are integers float32 holds exactly, so they accumulate in
+    float32; masses and larger counts accumulate in float64, cast once."""
+    exact32 = mass is None and len(cells) < 2**24
+    out = np.zeros(shape, dtype=np.float32 if exact32 else np.float64)
+    # a float32 scalar: np.add.at takes a slow path for a Python float
+    np.add.at(out.reshape(-1), cells, out.dtype.type(1) if mass is None else mass)
+    return out.astype(np.float32, copy=False)
+
+
 def event_volume(stream: EventStream, t_n: int, state: WindowState) -> TensorCHW:
     """Accumulate events of the window [t_n - bins*delta_tau, t_n) into 2*bins channels.
 
@@ -54,64 +69,47 @@ def event_volume(stream: EventStream, t_n: int, state: WindowState) -> TensorCHW
     geo.check_stream(stream)
     geo.check_detection_time(t_n)
 
-    h, w = geo.height, geo.width
-    bins, delta_tau_us = params.bins, params.delta_tau_us
+    bins, delta_tau_us, plane = params.bins, params.delta_tau_us, 2 * geo.height * geo.width
+    shape = (2 * bins, geo.height, geo.width)
     t_lo = t_n - bins * delta_tau_us
     i, j = stream.slice_range(t_lo, t_n)
     state.events_read += j - i
-    t = stream.t[i:j]
-    x = stream.x[i:j].astype(np.int64)
-    y = stream.y[i:j].astype(np.int64)
-    p = stream.p[i:j].astype(np.int64)
-
-    # rect counts stay integers below 2**24, which float32 holds exactly
-    exact32 = params.kernel == "rect" and len(t) < 2**24
-    out = np.zeros((2 * bins, h, w), dtype=np.float32 if exact32 else np.float64)
-    flat = out.reshape(-1)
-    if len(t):
-        if params.kernel == "rect":
-            b = (t - t_lo) // delta_tau_us
-            # a float32 scalar: np.add.at takes a slow path for a Python float
-            np.add.at(flat, ((2 * b + p) * h + y) * w + x, flat.dtype.type(1))
-        else:
-            # continuous bin coordinate, 0 at the first bin center
-            u = (t - t_lo) / float(delta_tau_us) - 0.5
-            left = np.floor(u).astype(np.int64)
-            frac = u - left
-            for b, mass in ((left, 1.0 - frac), (left + 1, frac)):
-                ok = (b >= 0) & (b < bins)
-                np.add.at(
-                    flat,
-                    ((2 * b[ok] + p[ok]) * h + y[ok]) * w + x[ok],
-                    mass[ok],
-                )
-    return out.astype(np.float32, copy=False)
+    # offsets from t_lo; an empty window's t_lo may lie past int64
+    since = stream.t[i:j] - t_lo if j > i else np.zeros(0, dtype=np.int64)
+    cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
+    # bin b's two channels start at flat index b * 2HW
+    if params.kernel == "rect":
+        return _accumulate(shape, since // delta_tau_us * plane + cells)
+    # continuous bin coordinate, 0 at the first bin center; every left share,
+    # then every right share
+    u = since / float(delta_tau_us) - 0.5
+    left = np.floor(u).astype(np.int64)
+    frac = u - left
+    b = np.concatenate([left, left + 1])
+    ok = (b >= 0) & (b < bins)
+    mass = np.concatenate([1.0 - frac, frac])
+    return _accumulate(shape, (b * plane + np.tile(cells, 2))[ok], mass[ok])
 
 
 def event_count_image(stream: EventStream, t_n: int, state: WindowState) -> TensorCHW:
-    """Per-pixel, per-polarity counts of the last min(N, available) events before t_n."""
+    """Per-pixel, per-polarity counts of the last min(N, available) events
+    before t_n: the one-bin rect count of those events."""
     geo = state.geometry
     geo.check_stream(stream)
     geo.check_detection_time(t_n)
 
-    h, w = geo.height, geo.width
     j = int(np.searchsorted(stream.t, t_n, side="left"))
     i = max(0, j - state.params.recent_events)
     state.events_read += j - i
-    x = stream.x[i:j].astype(np.int64)
-    y = stream.y[i:j].astype(np.int64)
-    p = stream.p[i:j].astype(np.int64)
-
-    flat = (p * h + y) * w + x
-    counts = np.bincount(flat, minlength=2 * h * w)
-    return counts.reshape(2, h, w).astype(np.float32)
+    cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
+    return _accumulate((2, geo.height, geo.width), cells)
 
 
 @dataclass
 class SaeState:
     """Running surface of active events; one writer, ascending detection times.
 
-    latest[p*H*W + y*W + x] holds the newest timestamp of a cell's events
+    latest[FrameGeometry.cells] holds the newest timestamp of a cell's events
     with t < t_n, or -1 if it never fired (event timestamps are >= 0);
     geometry and decay_per_us are the ones sae_init was given.
     """
@@ -147,18 +145,14 @@ def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> Ten
     if t_n < state.t_n:
         raise EvrepError(f"detection timestamp {t_n} precedes the state's {state.t_n}")
 
-    h, w = geo.height, geo.width
     i, j = stream.slice_range(state.t_n, t_n)
     state.events_read += j - i
-    x = stream.x[i:j].astype(np.int64)
-    y = stream.y[i:j].astype(np.int64)
-    p = stream.p[i:j].astype(np.int64)
     latest = state.latest
     # unbuffered reduction: well-defined under repeated pixel indices
-    np.maximum.at(latest, (p * h + y) * w + x, stream.t[i:j])
+    np.maximum.at(latest, geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j]), stream.t[i:j])
     state.t_n = t_n
 
-    out = np.zeros(2 * h * w, dtype=np.float32)
+    out = np.zeros_like(latest, dtype=np.float32)
     seen = latest >= 0
     out[seen] = np.exp(state.decay_per_us * (latest[seen] - float(t_n)))
-    return out.reshape(2, h, w)
+    return out.reshape(2, geo.height, geo.width)

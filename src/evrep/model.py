@@ -49,6 +49,11 @@ class FrameGeometry:
         if stream.geometry != self:
             raise EvrepError(f"stream geometry {stream.geometry} is not {self}")
 
+    def cells(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The int64 flat index (p*H + y)*W + x of each event's cell: the
+        polarity-major order every tensor's channels share."""
+        return (p.astype(np.int64) * self.height + y) * self.width + x
+
 
 @dataclass(frozen=True)
 class EventStream:

@@ -97,16 +97,13 @@ def taf_init(geometry: FrameGeometry, params: EncoderParams) -> TafState:
     )
 
 
-def _window_mean_timestamps(window: WindowView, h: int, w: int):
+def _window_mean_timestamps(window: WindowView):
     """Flat cell index and mean timestamp for every cell that fired."""
-    n = len(window)
-    x = window.x.astype(np.int64)
-    y = window.y.astype(np.int64)
-    p = window.p.astype(np.int64)
-    flat = (p * h + y) * w + x
+    n, geo = len(window), window.geometry
+    flat = geo.cells(window.x, window.y, window.p)
     t = window.t.astype(np.float64)
 
-    n_cells = 2 * h * w
+    n_cells = 2 * geo.height * geo.width
     if 8 * n < n_cells:
         # sparse window: group by sorting, cost independent of the frame size
         order = np.argsort(flat, kind="stable")
@@ -152,11 +149,10 @@ def taf_step(state: TafState, window: WindowView) -> TafState:
         )
     if len(window) and (int(window.t[0]) < t_lo or int(window.t[-1]) >= t_hi):
         raise EvrepError("window holds events outside its bounds")
-    geo = state.geometry
-    geo.check_stream(window)
+    state.geometry.check_stream(window)
 
     if len(window):
-        _push(state, *_window_mean_timestamps(window, geo.height, geo.width))
+        _push(state, *_window_mean_timestamps(window))
 
     state.events_read += len(window)
     state.step_index += 1
@@ -218,7 +214,7 @@ def temporal_active_focus(stream: EventStream, t_n: int, state: TafState) -> Ten
     state.events_read += len(window)
     if not len(window):
         return taf_render(state, t_n)
-    active, mu = _window_mean_timestamps(window, geo.height, geo.width)
+    active, mu = _window_mean_timestamps(window)
     slots = state.mean_ts.reshape(state.queue_depth, -1)
     saved = slots[:, active]
     _push(state, active, mu)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,21 @@ def test_weight_file_round_trip(rng, tmp_path):
     loaded = load_weights(tmp_path / "w")
     x = _random_input(rng, 8, 4, 4)
     assert np.array_equal(bfm_forward(x, weights), bfm_forward(x, loaded))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {k: v for k, v in m.items() if k != "stages"},
+    lambda m: [m],
+    lambda m: {**m, "queue_depth": "four"},
+    lambda m: {**m, "stages": [{**m["stages"][0], "bias": 5}, *m["stages"][1:]]},
+    lambda m: {**m, "mlp": None},
+    lambda m: "{not json",
+], ids=["no-stages", "json-list", "queue-depth-word", "file-name-number", "mlp-null", "bad-json"])
+def test_malformed_manifest_is_one_line_evrep_error(edit, tmp_path):
+    save_weights(random_weights(4, seed=3), tmp_path)
+    manifest = tmp_path / "manifest.json"
+    edited = edit(json.loads(manifest.read_text()))
+    manifest.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    with pytest.raises(EvrepError, match=r"manifest\.json: malformed weight manifest \(") as exc:
+        load_weights(tmp_path)
+    assert type(exc.value) is EvrepError and len(str(exc.value).splitlines()) == 1

@@ -57,11 +57,11 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _run_capped(*argv) -> subprocess.CompletedProcess:
+def _run_capped(*argv, timeout=120) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
                OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", _CAPPED, *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestEncode:
@@ -167,17 +167,14 @@ class TestEncode:
         assert not list(out.glob("*.evtn"))
 
     def test_unknown_representation_is_usage_error(self, one_second_stream, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            _run(
-                "encode", "--rep", "hologram", "--events", str(one_second_stream),
-                "--out-dir", str(tmp_path / "o"),
-            )
-        assert exc.value.code == 1
+        code = _run(
+            "encode", "--rep", "hologram", "--events", str(one_second_stream),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 1
 
     def test_missing_required_flag_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            _run("encode", "--rep", "taf")
-        assert exc.value.code == 1
+        assert _run("encode", "--rep", "taf") == 1
 
     def test_corrupt_events_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.evs"
@@ -499,9 +496,7 @@ class TestBench:
         assert capsys.readouterr().err.startswith("evrep: error: ")
 
     def test_unknown_representation_is_usage_error(self, one_second_stream):
-        with pytest.raises(SystemExit) as exc:
-            _run("bench", "--rep", "hologram", "--events", str(one_second_stream))
-        assert exc.value.code == 1
+        assert _run("bench", "--rep", "hologram", "--events", str(one_second_stream)) == 1
 
     @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
     def test_steps_past_the_end_is_usage_error(self, rep, one_second_stream, capsys):
@@ -549,6 +544,21 @@ class TestHugeGrid:
         bench = _run_capped("bench", *common, "--steps", 5, "--warmup", 0)
         assert (bench.returncode, bench.stderr) == (0, "")
         assert "steps: 5 (after 0 warm-up)" in bench.stdout
+
+    @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
+    @pytest.mark.parametrize("t_max,delta_tau", [(2**63, 10_000), (2**64 - 1, 1)],
+                             ids=["t_max-2**63", "t_max-2**64-1"])
+    def test_bench_without_steps_refuses(self, rep, t_max, delta_tau, tmp_path):
+        # its samples would outgrow any memory; it exits before the first step,
+        # where without the rule it would run on until the timeout
+        events = tmp_path / "huge.evs"
+        events.write_bytes(struct.pack("<4sIHHQ", b"EVST", 1, 8, 6, t_max))
+        bench = _run_capped("bench", "--rep", rep, "--events", events,
+                            "--delta-tau-us", delta_tau, "--warmup", 0, timeout=20)
+        assert bench.returncode == 2 and not bench.stdout
+        n_steps = t_max // delta_tau
+        assert bench.stderr.startswith(f"evrep: {events}: {n_steps} samples need {8 * n_steps} ")
+        assert bench.stderr.endswith(" bytes\n") and len(bench.stderr.splitlines()) == 1
 
 
 class TestExitCodes:
@@ -603,10 +613,7 @@ class TestExitCodes:
             "dets": FIXTURES / "golden_eval" / "detections.csv",
             "anns": FIXTURES / "golden_eval" / "annotations.csv",
         }
-        try:
-            code = _run(*(arg.format(**paths) for arg in argv))
-        except SystemExit as exc:  # a usage error argparse finds ends in the parser
-            code = exc.code
+        code = _run(*(arg.format(**paths) for arg in argv))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("evrep: error: ")

@@ -33,6 +33,15 @@ class TestEventVolume:
         assert vol.shape == (10, small_geometry.height, small_geometry.width)
         assert not vol.any()
 
+    @pytest.mark.parametrize("kernel", ["rect", "triangular"])
+    def test_empty_window_past_int64(self, kernel):
+        # the window's start t_n - B*dt lies past int64, where no event can be
+        geo = FrameGeometry(8, 6, 2**64 - 1)
+        stream = EventStream.from_arrays(geo, [5], [1], [2], [1])
+        state = WindowState(geo, EncoderParams(kernel=kernel))
+        vol = event_volume(stream, 2**64 - 1, state)
+        assert vol.shape == (10, 6, 8) and not vol.any() and state.events_read == 0
+
     def test_rect_mass_equals_window_count(self, rng, small_geometry):
         for _ in range(30):
             stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 2000)))
@@ -140,6 +149,18 @@ def test_rect_float32_counts_equal_float64_counts(rng, small_geometry):
     assert got.dtype == np.float32
     assert got[2 * (bins - 1) + 1, 5, 7] >= hot
     assert np.array_equal(got, want)
+
+    # the count image of every event before t_n: the same float32 accumulation
+    count = event_count_image(
+        stream, t_n, WindowState(stream.geometry, EncoderParams(recent_events=len(stream)))
+    )
+    before = stream.t < t_n
+    cell = (stream.p[before].astype(np.int64) * geo.height + stream.y[before]) * geo.width
+    cell += stream.x[before]
+    want = np.bincount(cell, minlength=2 * geo.height * geo.width).astype(np.float32)
+    assert count.dtype == np.float32
+    assert count[1, 5, 7] >= hot
+    assert np.array_equal(count, want.reshape(2, geo.height, geo.width))
 
 
 def test_triangular_matches_per_event_oracle(rng, small_geometry):

@@ -27,6 +27,16 @@ def test_tensor_offset_map_is_bijective():
     assert a[2, 3, 1] == 2 * h * w + 3 * w + 1
 
 
+@pytest.mark.parametrize("width,height", [(5, 3), (7, 300)])
+def test_cells_is_the_polarity_major_ravel(width, height):
+    # every cell once, in the stream's column dtypes; 300 rows overflow a uint8 p * H
+    p, y, x = (a.ravel() for a in np.indices((2, height, width)))
+    geo = FrameGeometry(width, height, 100)
+    got = geo.cells(x.astype(np.int32), y.astype(np.int32), p.astype(np.uint8))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.ravel_multi_index((p, y, x), (2, height, width)))
+
+
 class TestInvariants:
     def test_geometry_must_be_positive(self):
         with pytest.raises(InvalidParamError):
