@@ -15,8 +15,10 @@ stay pure functions of (stream, t_n, params). SAE steps a running SaeState
 (sae_init): the latest timestamp per cell, into which each call folds only
 the events since the previous call's t_n (a one-slot TAF), so a run over
 ascending times costs one window per step, not the whole prefix. Decay
-stays implicit until the render, as TAF's aging does. No encoder checks a
-parameter domain; EncoderParams and FrameGeometry do.
+stays implicit until the render, as TAF's aging does, and the render, like
+TAF's, works on the cells that have fired only, until they reach
+model.FIRED_SHARE of the frame, and on the whole frame after. No encoder
+checks a parameter domain; EncoderParams and FrameGeometry do.
 
 Every read finds an event's cell with FrameGeometry.cells, the polarity-major
 order of every tensor's channels: volume channel c = 2b + p (bin 0 oldest),
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvrepError
-from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW
+from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, add_fired
 
 
 @dataclass
@@ -98,7 +100,7 @@ def event_count_image(stream: EventStream, t_n: int, state: WindowState) -> Tens
     geo.check_stream(stream)
     geo.check_detection_time(t_n)
 
-    j = int(np.searchsorted(stream.t, t_n, side="left"))
+    j = stream.count_before(t_n)
     i = max(0, j - state.params.recent_events)
     state.events_read += j - i
     cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
@@ -111,12 +113,17 @@ class SaeState:
 
     latest[FrameGeometry.cells] holds the newest timestamp of a cell's events
     with t < t_n, or -1 if it never fired (event timestamps are >= 0);
-    geometry and decay_per_us are the ones sae_init was given.
+    geometry and decay_per_us are the ones sae_init was given. fired is the
+    sorted flat index of the cells with latest >= 0, which a cell joins when
+    it first fires and never leaves, or None once it has reached FIRED_SHARE
+    of the frame (model.add_fired): the render works on those cells only
+    while the index is live, and on the whole frame after.
     """
 
     geometry: FrameGeometry
     decay_per_us: float
     latest: np.ndarray
+    fired: np.ndarray | None
     t_n: int = 0
     events_read: int = 0
 
@@ -124,7 +131,7 @@ class SaeState:
 def sae_init(geometry: FrameGeometry, params: EncoderParams) -> SaeState:
     """Fresh state at t_n = 0: no event folded in, every cell unseen."""
     latest = np.full(2 * geometry.height * geometry.width, -1, dtype=np.int64)
-    return SaeState(geometry, params.sae_decay_per_us, latest)
+    return SaeState(geometry, params.sae_decay_per_us, latest, np.zeros(0, dtype=np.int64))
 
 
 def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> TensorCHW:
@@ -148,11 +155,14 @@ def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> Ten
     i, j = stream.slice_range(state.t_n, t_n)
     state.events_read += j - i
     latest = state.latest
+    cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
+    if state.fired is not None:
+        state.fired = add_fired(state.fired, cells[latest[cells] < 0], len(latest))
     # unbuffered reduction: well-defined under repeated pixel indices
-    np.maximum.at(latest, geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j]), stream.t[i:j])
+    np.maximum.at(latest, cells, stream.t[i:j])
     state.t_n = t_n
 
     out = np.zeros_like(latest, dtype=np.float32)
-    seen = latest >= 0
+    seen = latest >= 0 if state.fired is None else state.fired
     out[seen] = np.exp(state.decay_per_us * (latest[seen] - float(t_n)))
     return out.reshape(2, geo.height, geo.width)

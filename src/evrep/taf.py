@@ -11,13 +11,20 @@ the mean event *timestamp* of its period. The elapse of an entry at
 detection time t is then just t - stored_mean, so aging is implicit and one
 step touches only the cells that fired in the step's window.
 
-The state is one float64 array mean_ts[slot, p, y, x], slot 0 newest, so
-rendering maps it elementwise through a logarithmic transform onto [0, 1]
-(1 = just now, 0 = t_max or older) and a reshape gives channel
+The state is one float64 array mean_ts[slot, p, y, x], slot 0 newest.
+Rendering maps slots elementwise through a logarithmic transform onto
+[0, 1] (1 = just now, 0 = t_max or older), and a reshape gives channel
 c = 2*slot + polarity. An empty slot holds the far-past timestamp _EMPTY:
 its elapse exceeds any t_max, so the render's clamp turns it into 0, i.e.
 "infinitely old" (the transform's far limit), not its value at elapse 0.
 Event timestamps are non-negative, so a slot is filled iff mean_ts >= 0.
+
+The render takes one of two paths, which give the same bits. While fewer
+than model.FIRED_SHARE of the cells have fired, it maps only the K slots of
+those cells, which the state indexes as they first fire, and scatters them
+into a zero tensor: a sparse step then costs in proportion to the cells
+that have fired, not to the frame. Past that share the state drops the
+index for good and the render maps every slot, as a dense step needs.
 
 taf_init builds the state from a FrameGeometry and the checked
 EncoderParams, and the state keeps both: K, dt and the render's t_max come
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvrepError, InvalidParamError
-from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, WindowView
+from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, WindowView, add_fired
 
 # Far-past timestamp of an empty slot (µs). Finite on purpose: numpy's log1p
 # takes a slow path on inf, and 1e30 µs already lies past any u64 t_max.
@@ -69,8 +76,12 @@ class TafState:
     period, slot 0 newest; an empty slot holds _EMPTY (negative, while
     every filled slot is >= 0). A push shifts a cell's slots toward the
     back (the eldest falls off), so only cells that fired in a step are
-    ever touched. events_read counts the events of every window stepped or
-    read as the open period.
+    ever touched. fired is the sorted flat (p, y, x) index of the cells
+    whose slot 0 is filled, which a cell joins at its first push and never
+    leaves, or None once it has reached FIRED_SHARE of the frame
+    (model.add_fired): the render works on those cells only while the index
+    is live, and on every slot after. events_read counts the events of every
+    window stepped or read as the open period.
     """
 
     geometry: FrameGeometry
@@ -78,6 +89,7 @@ class TafState:
     delta_tau_us: int
     step_index: int
     mean_ts: np.ndarray
+    fired: np.ndarray | None
     events_read: int = 0
 
     @property
@@ -94,6 +106,7 @@ def taf_init(geometry: FrameGeometry, params: EncoderParams) -> TafState:
         delta_tau_us=params.delta_tau_us,
         step_index=0,
         mean_ts=np.full((k, 2, h, w), _EMPTY, dtype=np.float64),
+        fired=np.zeros(0, dtype=np.int64),
     )
 
 
@@ -124,6 +137,8 @@ def _push(state: TafState, active: np.ndarray, mu: np.ndarray) -> None:
     """Make mu the newest slot of each active cell; its eldest slot falls off."""
     mean_ts = state.mean_ts.reshape(state.queue_depth, -1)
     block = mean_ts[:, active]
+    if state.fired is not None:  # a cell fires first when its slot 0 is empty
+        state.fired = add_fired(state.fired, active[block[0] < 0], mean_ts.shape[1])
     block[1:] = block[:-1]
     block[0] = mu
     mean_ts[:, active] = block
@@ -166,13 +181,24 @@ def taf_render(state: TafState, t_n: int | None = None) -> TensorCHW:
     Channel c holds polarity c % 2 at slot c // 2 (slot 0 newest). Filled
     slots hold transform_elapse of their entry's elapse to t_n, against the
     t_max of the state's geometry; empty slots hold 0.
+
+    While the state's fired index is live, only the K slots of those cells
+    are mapped, by the same operations in the same order, and scattered into
+    a zero tensor; a cell that never fired holds only empty slots, which
+    render to 0 either way, so both paths give the same bits.
     """
     t_max_us = state.geometry.t_max_us
     t_now = float(state.detection_time_us if t_n is None else t_n)
+    slots, fired = state.mean_ts.reshape(state.queue_depth, -1), state.fired
     # elapses stay float64 (timestamps need it); once scaled by 1e-4 the
     # argument is small enough that float32 log1p costs < 1e-7 of accuracy.
-    # One float64 and one float32 array, each operation in place.
-    elapse = np.subtract(t_now, state.mean_ts)
+    # One float64 and one float32 array of the slots mapped, each operation
+    # in place; the fired-cell path then scatters into a zero tensor.
+    if fired is None:
+        elapse = np.subtract(t_now, slots)
+    else:
+        elapse = np.take(slots, fired, axis=1)  # faster than slots[:, fired]
+        np.subtract(t_now, elapse, out=elapse)
     elapse *= 1e-4
     rendered = elapse.astype(np.float32)
     del elapse
@@ -181,6 +207,9 @@ def taf_render(state: TafState, t_n: int | None = None) -> TensorCHW:
     rendered /= np.float32(np.log1p(t_max_us * 1e-4))
     np.subtract(1.0, rendered, out=rendered)
     np.clip(rendered, 0.0, 1.0, out=rendered)
+    if fired is not None:
+        rendered, at_fired = np.zeros(slots.shape, dtype=np.float32), rendered
+        rendered[:, fired] = at_fired
     h, w = state.geometry.height, state.geometry.width
     return rendered.reshape(2 * state.queue_depth, h, w)
 
@@ -193,8 +222,8 @@ def temporal_active_focus(stream: EventStream, t_n: int, state: TafState) -> Ten
     ``state`` carries K, delta_tau and the geometry, and is stepped in place
     through every full period that ends at or before t_n. The open period is
     pushed into the cells that fired in it for the render only, then those
-    cells are restored. A stream of another geometry, or a t_n before the
-    end of the state's last full period, raises EvrepError.
+    cells and the fired index are restored. A stream of another geometry, or
+    a t_n before the end of the state's last full period, raises EvrepError.
     """
     geo, delta_tau_us = state.geometry, state.delta_tau_us
     geo.check_stream(stream)
@@ -216,8 +245,8 @@ def temporal_active_focus(stream: EventStream, t_n: int, state: TafState) -> Ten
         return taf_render(state, t_n)
     active, mu = _window_mean_timestamps(window)
     slots = state.mean_ts.reshape(state.queue_depth, -1)
-    saved = slots[:, active]
+    saved, fired = slots[:, active], state.fired
     _push(state, active, mu)
     tensor = taf_render(state, t_n)
-    slots[:, active] = saved
+    slots[:, active], state.fired = saved, fired
     return tensor

@@ -19,6 +19,11 @@ def make_random_stream(
     return EventStream.from_arrays(geometry, t, x, y, p)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Both float32 and equal bit for bit (so -0.0 differs from 0.0)."""
+    return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

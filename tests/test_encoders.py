@@ -16,7 +16,7 @@ from evrep.errors import EvrepError, InvalidParamError
 from evrep.model import EncoderParams, EventStream, FrameGeometry
 from evrep.taf import taf_init, temporal_active_focus
 
-from conftest import make_random_stream
+from conftest import make_random_stream, same_bits
 from encoders_oracle import sae_batch_oracle
 
 PARAMS = EncoderParams(delta_tau_us=10_000, bins=5, sae_decay_per_us=1e-5)
@@ -364,6 +364,38 @@ class TestSaeIncremental:
         assert state.t_n == 500_000
         got = surface_active_events(stream, 600_000, state)
         assert np.array_equal(got, sae_batch_oracle(stream, 600_000, 1e-5))
+
+    def test_indexed_render_equals_dense(self):
+        # 1536 cells: the fired share runs from under 5% to past FIRED_SHARE,
+        # at grid times and at times between them
+        rng = np.random.default_rng(1818)
+        geo = FrameGeometry(32, 24, 500_000)
+        stream = make_random_stream(rng, geo, 1700)
+        state, dense = sae_init(geo, PARAMS), sae_init(geo, PARAMS)
+        dense.fired = None
+        times = np.r_[np.arange(1, 51) * 10_000, rng.integers(1, 500_000, size=50)]
+        shares = []
+        for t_n in np.unique(times).tolist():
+            got = surface_active_events(stream, t_n, state)
+            want = surface_active_events(stream, t_n, dense)
+            assert same_bits(got, want), t_n
+            fired = np.flatnonzero(state.latest >= 0)
+            if state.fired is not None:  # each fired cell once, and no other
+                assert np.array_equal(np.sort(state.fired), fired)
+            shares.append(fired.size / state.latest.size)
+        assert shares[0] < 0.05 and shares[-1] > 0.5
+        assert state.fired is None  # dropped past the share, and for good
+
+
+def test_reads_past_int64_count_every_event():
+    # np.searchsorted compares a t_n past int64 through float64, in which
+    # 2**63 - 50 and 2**63 + 5 are both 2**63
+    geo = FrameGeometry(8, 6, 2**64 - 1)
+    stream = EventStream.from_arrays(geo, [1, 2, 2**63 - 50], [0, 1, 2], [0, 3, 5], [0, 1, 1])
+    state = sae_init(geo, PARAMS)
+    surface_active_events(stream, 2**63 + 5, state)
+    assert state.events_read == 3
+    assert event_count_image(stream, 2**63 + 5, WindowState(geo, PARAMS)).sum() == 3
 
 
 @pytest.mark.parametrize("init,read", [

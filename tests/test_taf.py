@@ -8,7 +8,7 @@ from evrep.errors import EvrepError, InvalidParamError
 from evrep.model import EncoderParams, EventStream, FrameGeometry, WindowView
 from evrep.taf import taf_init, taf_render, taf_step, temporal_active_focus, transform_elapse
 
-from conftest import make_random_stream
+from conftest import make_random_stream, same_bits
 from taf_oracle import taf_batch_oracle
 
 T_MAX = 60_000_000
@@ -304,3 +304,57 @@ def test_temporal_active_focus_on_grid_equals_step_and_render(rng, small_geometr
         got = temporal_active_focus(stream, n * DT, state)
         taf_step(plain, WindowView.from_stream(stream, (n - 1) * DT, n * DT, n * DT))
         assert np.array_equal(got, taf_render(plain))
+
+
+class TestFiredIndex:
+    """The render over the fired cells against the dense render of the same slots."""
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 8])
+    def test_indexed_render_equals_dense_at_grid_and_open_times(self, k):
+        # 1536 cells: the fired share runs from about 2% at the first step to
+        # past FIRED_SHARE, so both render paths run
+        rng = np.random.default_rng(1800 + k)
+        geo = FrameGeometry(32, 24, 50 * DT)
+        stream = make_random_stream(rng, geo, 1700)
+        params = EncoderParams(delta_tau_us=DT, queue_depth=k)
+        state, dense = taf_init(geo, params), taf_init(geo, params)
+        dense.fired = None
+        shares, open_new = [], 0
+        for n in range(1, 51):
+            for t_n in (n * DT - int(rng.integers(1, DT)), n * DT):
+                before = None if state.fired is None else state.fired.copy()
+                if before is not None and t_n % DT:
+                    i, j = stream.slice_range(t_n - t_n % DT, t_n)
+                    open_cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
+                    open_new += bool(np.isin(open_cells, before, invert=True).any())
+                got = temporal_active_focus(stream, t_n, state)
+                assert same_bits(got, temporal_active_focus(stream, t_n, dense)), (n, t_n)
+                if t_n % DT:  # the open period leaves the index as it found it
+                    assert (state.fired is None) == (before is None)
+                    assert before is None or np.array_equal(state.fired, before)
+                fired = np.flatnonzero(state.mean_ts[0] >= 0)
+                if state.fired is not None:  # each fired cell once, and no other
+                    assert np.array_equal(np.sort(state.fired), fired)
+                shares.append(fired.size / state.mean_ts[0].size)
+        assert shares[0] < 0.05 and shares[-1] > 0.5
+        assert state.fired is None  # dropped past the share, and for good
+        assert open_new > 0  # open periods fired cells the index did not hold yet
+
+    def test_open_period_past_the_share_restores_the_live_index(self):
+        # 96 cells, so the index drops at 29: 20 fire on the grid, and 20 more
+        # in the open period, which renders densely and then restores the 20
+        geo = FrameGeometry(8, 6, 10 * DT)
+        x, y = np.arange(40) % 8, np.arange(40) // 8
+        t = np.r_[np.arange(20) * 100, DT + np.arange(20) * 100]
+        stream = EventStream.from_arrays(geo, t, x, y, np.zeros(40))
+        state, dense = taf_init(geo, PARAMS), taf_init(geo, PARAMS)
+        dense.fired = None
+        temporal_active_focus(stream, DT, state)
+        fired = state.fired.copy()
+        assert len(fired) == 20
+        got = temporal_active_focus(stream, DT + 5_000, state)
+        assert same_bits(got, temporal_active_focus(stream, DT + 5_000, dense))
+        assert np.array_equal(state.fired, fired)
+        got = temporal_active_focus(stream, 2 * DT, state)
+        assert state.fired is None
+        assert same_bits(got, temporal_active_focus(stream, 2 * DT, dense))
