@@ -64,7 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_stream(path: str) -> EventStream:
-    return read_events_binary(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return read_events_binary(fh)
 
 
 def _config(build, **values):
@@ -157,15 +158,20 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
     def encode(path: str, times: Sequence[int], n_times: int) -> None:
         stream = _load_stream(path)
-        for step, (t_n, tensor, _) in enumerate(_tensors(stream, args.rep, params, times)):
-            if not step:  # a grid far past the last event would write until the disk is full
+        checked = False
+        for t_n, tensor, _ in _tensors(stream, args.rep, params, times):
+            if not checked:  # a grid far past the last event would write until the disk is full
                 need, free = n_times * tensor_file_size(tensor), shutil.disk_usage(out_dir).free
                 if need > free:
                     raise EvrepError(f"{path}: {n_times} tensor file(s) need {need} bytes, "
                                      f"but {out_dir} has {free} free")
+                checked = True
             out = out_dir / f"{Path(path).stem}_{t_n}.evtn"
             written.append(out)  # before the write starts, so a failed write goes too
             write_tensor(tensor, out)
+            # freed before the next read allocates its tensor (so no enumerate,
+            # which holds its last item until the next one is made)
+            del tensor
 
     try:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

@@ -7,6 +7,14 @@ hand back values that violate the data-model invariants; they raise.
 Event stream binary (.evs)
     header   magic b"EVST" | version u32 = 1 | W u16 | H u16 | T_max u64
     records  t u64 | x u16 | y u16 | p u8 | reserved u8 (= 0)   [14 bytes each]
+    read_events_binary takes the file's bytes or a binary file open at its
+    start; bytes go through io.BytesIO, so one decode loop serves both. The
+    payload's size comes from the source, the int64/int32/int32/uint8
+    columns are allocated once (17 bytes per event, which the stream keeps),
+    and the records are decoded in chunks of _CHUNK_RECORDS through one
+    reused buffer, each chunk checked as it lands. A stream's peak is then
+    its columns plus one chunk, not the file's bytes plus whole-stream
+    copies and temporaries.
 
 Tensor file (.evtn)
     header   magic b"EVTN" | version u32 = 1 | C u32 | H u32 | W u32
@@ -33,9 +41,11 @@ CSV (one dialect, read by ``_rows`` and written by ``write_csv``)
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,20 +65,66 @@ _EVENT_RECORD_DTYPE = np.dtype(
 )
 
 
-def _check_event_columns(t, x, y, p, geometry: FrameGeometry) -> None:
-    """Semantic validation shared by the binary and CSV event readers."""
-    bad = np.nonzero(np.diff(t) < 0)[0]
-    if bad.size:
-        raise EvrepError(f"non-monotonic timestamp at record {int(bad[0]) + 1}")
-    bad = np.nonzero((t >= geometry.t_max_us) | (t < 0))[0]
-    if bad.size:
-        raise EvrepError(f"timestamp outside [0, t_max) at record {int(bad[0])}")
-    bad = np.nonzero((x >= geometry.width) | (y >= geometry.height))[0]
-    if bad.size:
-        raise EvrepError(f"coordinate out of bounds at record {int(bad[0])}")
-    bad = np.nonzero(p > 1)[0]
-    if bad.size:
-        raise EvrepError(f"polarity not in {{0, 1}} at record {int(bad[0])}")
+# The first defect of each kind a stream can hold, in the order the readers
+# report them; only the binary format has a reserved byte.
+_EVENT_DEFECTS = (
+    "non-monotonic timestamp",
+    "timestamp outside [0, t_max)",
+    "coordinate out of bounds",
+    "polarity not in {0, 1}",
+    "reserved byte not 0",
+)
+
+# Records decoded per readinto: 8,192 records is 112 KiB, below glibc's
+# default 128 KiB mmap threshold, so the buffer and the checks' chunk-sized
+# temporaries come from the heap instead of being mapped, faulted in and
+# unmapped chunk after chunk. Freeing a mapped block also raises glibc's
+# threshold, which moves where later tensors land: while encode kept two
+# tensors alive, 65,536-record (896 KiB) chunks took `encode --rep volume`
+# on evbench's seed-1 mpx_sparse recording from 49 to 57 MB peak RSS.
+_CHUNK_RECORDS = 8192
+
+
+def _find_defects(first: list, geometry: FrameGeometry, t, x, y, p, lo: int, hi: int,
+                  reserved=None) -> None:
+    """Set first[k], where it is still None, to the index of the first record
+    in [lo, hi) of the columns with defect k of _EVENT_DEFECTS. The monotonic
+    check compares record lo with record lo - 1, so it spans chunk edges."""
+    tc = t[lo:hi]
+    masks = [
+        np.diff(t[max(lo - 1, 0):hi]) < 0,
+        (tc >= geometry.t_max_us) | (tc < 0),
+        (x[lo:hi] >= geometry.width) | (y[lo:hi] >= geometry.height),
+        p[lo:hi] > 1,
+    ]
+    if reserved is not None:
+        masks.append(reserved != 0)
+    for k, mask in enumerate(masks):
+        if first[k] is None and mask.any():
+            first[k] = int(mask.argmax()) + (max(lo, 1) if k == 0 else lo)
+
+
+def _raise_first_defect(first: list) -> None:
+    for what, at in zip(_EVENT_DEFECTS, first):
+        if at is not None:
+            raise EvrepError(f"{what} at record {at}")
+
+
+def _payload_size(source: BinaryIO) -> int:
+    """Bytes from the source's position to its end; the position is kept."""
+    at = source.tell()
+    end = source.seek(0, os.SEEK_END)
+    source.seek(at)
+    return end - at
+
+
+def _fill(source: BinaryIO, buffer: np.ndarray) -> None:
+    """readinto the whole of buffer, or raise: the source was shorter than
+    the size taken from it before the read."""
+    wanted = buffer.nbytes
+    got = source.readinto(buffer.view(np.uint8))
+    if got != wanted:
+        raise EvrepError(f"input ended {wanted - got} bytes short of its size")
 
 
 def _event_header(data: bytes) -> FrameGeometry:
@@ -88,21 +144,42 @@ def read_events_geometry(path: str | Path) -> FrameGeometry:
         return _event_header(fh.read(_EVENT_HEADER.size))
 
 
-def read_events_binary(data: bytes) -> EventStream:
-    """Decode an event stream from the binary format described above."""
-    geometry = _event_header(data)
-    body = len(data) - _EVENT_HEADER.size
-    if body % _EVENT_RECORD_DTYPE.itemsize != 0:
-        raise EvrepError(
-            f"{body} payload bytes is not a multiple of {_EVENT_RECORD_DTYPE.itemsize}"
-        )
+def read_events_binary(source: bytes | BinaryIO) -> EventStream:
+    """Decode an event stream from the binary format described above.
 
-    records = np.frombuffer(data, dtype=_EVENT_RECORD_DTYPE, offset=_EVENT_HEADER.size)
-    t = records["t"].astype(np.int64)
-    x = records["x"].astype(np.int32)
-    y = records["y"].astype(np.int32)
-    p = records["p"].astype(np.uint8)
-    _check_event_columns(t, x, y, p, geometry)
+    source is the file's bytes, or a seekable binary file open at its start.
+    The payload's size is taken from the source, the four columns are
+    allocated once, and the records are decoded _CHUNK_RECORDS at a time
+    through one reused buffer into their slice of the columns, each chunk
+    checked as it lands. So the read holds the 17 bytes per event the stream
+    keeps, plus one chunk. A file that ends short of the size taken from it
+    raises EvrepError. Every defect is reported by its absolute record index:
+    the first of its kind, and of the first kind in _EVENT_DEFECTS' order.
+    """
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    geometry = _event_header(source.read(_EVENT_HEADER.size))
+    body, size = _payload_size(source), _EVENT_RECORD_DTYPE.itemsize
+    if body % size != 0:
+        raise EvrepError(f"{body} payload bytes is not a multiple of {size}")
+
+    n = body // size
+    t = np.empty(n, dtype=np.int64)
+    x = np.empty(n, dtype=np.int32)
+    y = np.empty(n, dtype=np.int32)
+    p = np.empty(n, dtype=np.uint8)
+    chunk = np.empty(min(n, _CHUNK_RECORDS), dtype=_EVENT_RECORD_DTYPE)
+    first: list = [None] * len(_EVENT_DEFECTS)
+    for lo in range(0, n, _CHUNK_RECORDS):
+        hi = min(lo + _CHUNK_RECORDS, n)
+        records = chunk[: hi - lo]
+        _fill(source, records)
+        t[lo:hi] = records["t"]  # a u64 past int64 wraps negative, and is caught
+        x[lo:hi] = records["x"]
+        y[lo:hi] = records["y"]
+        p[lo:hi] = records["p"]
+        _find_defects(first, geometry, t, x, y, p, lo, hi, records["reserved"])
+    _raise_first_defect(first)
     return EventStream.from_arrays(geometry, t, x, y, p)
 
 
@@ -184,7 +261,9 @@ def read_events_csv(text: str, geometry: FrameGeometry) -> EventStream:
             )
         rows.append((t, x, y, pol))
     t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    _check_event_columns(t, x, y, p, geometry)
+    first: list = [None] * len(_EVENT_DEFECTS)
+    _find_defects(first, geometry, t, x, y, p, 0, len(t))
+    _raise_first_defect(first)
     return EventStream.from_arrays(geometry, t, x, y, p)
 
 
@@ -217,23 +296,30 @@ def tensor_file_size(t: np.ndarray) -> int:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a .evtn tensor file back into a float32 (C, H, W) array."""
-    data = Path(path).read_bytes()
-    if len(data) < _TENSOR_HEADER.size:
-        raise EvrepError("input shorter than the tensor header")
-    magic, version, c, h, w, dtype_code = _TENSOR_HEADER.unpack_from(data, 0)
-    if magic != TENSOR_MAGIC:
-        raise EvrepError(f"expected {TENSOR_MAGIC!r}, found {magic!r}")
-    if version != 1:
-        raise EvrepError(f"unsupported tensor version {version}")
-    if dtype_code != 0:
-        raise EvrepError(f"dtype code {dtype_code}")
-    expected = c * h * w * 4
-    actual = len(data) - _TENSOR_HEADER.size
-    if actual != expected:
-        raise EvrepError(f"payload holds {actual} bytes, header implies {expected}")
-    flat = np.frombuffer(data, dtype="<f4", offset=_TENSOR_HEADER.size)
-    return flat.reshape(c, h, w).astype(np.float32, copy=True)
+    """Read a .evtn tensor file back into a float32 (C, H, W) array.
+
+    The payload's size is checked against the header before the array is
+    allocated, and the file is read straight into it: one payload-sized
+    allocation.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(_TENSOR_HEADER.size)
+        if len(header) < _TENSOR_HEADER.size:
+            raise EvrepError("input shorter than the tensor header")
+        magic, version, c, h, w, dtype_code = _TENSOR_HEADER.unpack(header)
+        if magic != TENSOR_MAGIC:
+            raise EvrepError(f"expected {TENSOR_MAGIC!r}, found {magic!r}")
+        if version != 1:
+            raise EvrepError(f"unsupported tensor version {version}")
+        if dtype_code != 0:
+            raise EvrepError(f"dtype code {dtype_code}")
+        expected = c * h * w * 4
+        actual = _payload_size(fh)
+        if actual != expected:
+            raise EvrepError(f"payload holds {actual} bytes, header implies {expected}")
+        tensor = np.empty((c, h, w), dtype="<f4")
+        _fill(fh, tensor)
+    return tensor.astype(np.float32, copy=False)
 
 
 def _box(no: int, fields: list[str]) -> tuple[int, float, float, float, float, int]:

@@ -192,16 +192,20 @@ def taf_render(state: TafState, t_n: int | None = None) -> TensorCHW:
     slots, fired = state.mean_ts.reshape(state.queue_depth, -1), state.fired
     # elapses stay float64 (timestamps need it); once scaled by 1e-4 the
     # argument is small enough that float32 log1p costs < 1e-7 of accuracy.
-    # One float64 and one float32 array of the slots mapped, each operation
-    # in place; the fired-cell path then scatters into a zero tensor.
-    if fired is None:
-        elapse = np.subtract(t_now, slots)
-    else:
-        elapse = np.take(slots, fired, axis=1)  # faster than slots[:, fired]
-        np.subtract(t_now, elapse, out=elapse)
-    elapse *= 1e-4
-    rendered = elapse.astype(np.float32)
-    del elapse
+    # Each slot's elapse goes through one reused float64 buffer of one slot's
+    # length into its row of the float32 output, and the rest of the chain
+    # runs in place on that output; the fired-cell path then scatters it
+    # into a zero tensor.
+    elapse = np.empty(slots.shape[1] if fired is None else len(fired))
+    rendered = np.empty((state.queue_depth, len(elapse)), dtype=np.float32)
+    for k, slot in enumerate(slots):
+        if fired is None:
+            np.subtract(t_now, slot, out=elapse)
+        else:
+            np.take(slot, fired, out=elapse)  # faster than slot[fired]
+            np.subtract(t_now, elapse, out=elapse)
+        elapse *= 1e-4
+        rendered[k] = elapse
     np.clip(rendered, 0.0, None, out=rendered)
     np.log1p(rendered, out=rendered)
     rendered /= np.float32(np.log1p(t_max_us * 1e-4))

@@ -1,3 +1,6 @@
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,17 @@ def make_random_stream(
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Both float32 and equal bit for bit (so -0.0 differs from 0.0)."""
     return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class ShrinksAfterItsSize(io.FileIO):
+    """A file that loses its last 14-byte record once its size has been read
+    (by a seek to its end)."""
+
+    def seek(self, pos, whence=os.SEEK_SET):
+        at = super().seek(pos, whence)
+        if whence == os.SEEK_END:
+            os.truncate(self.name, at - 14)
+        return at
 
 
 @pytest.fixture

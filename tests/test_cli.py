@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from evrep.io import (
 )
 from evrep.model import Annotation, Detection, EncoderParams, EventStream, FlowField, FrameGeometry
 
-from conftest import make_random_stream
+from conftest import ShrinksAfterItsSize, make_random_stream
 from taf_oracle import taf_batch_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -631,6 +632,38 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "out"))
         assert code == 2
         assert capsys.readouterr().err == "evrep: Unable to allocate 8.00 EiB for an array\n"
+
+    @pytest.mark.parametrize("rep, read", [
+        ("taf", "temporal_active_focus"), ("volume", "event_volume"),
+        ("count", "event_count_image"), ("sae", "surface_active_events"),
+    ])
+    def test_each_tensor_is_freed_before_the_next_read(
+        self, one_second_stream, tmp_path, monkeypatch, rep, read
+    ):
+        # so an encode holds one tensor at a time, not two
+        real, last = getattr(evrep.cli, read), []
+
+        def spy(*args):
+            assert not last or last[-1]() is None
+            tensor = real(*args)
+            last.append(weakref.ref(tensor))
+            return tensor
+
+        monkeypatch.setattr(evrep.cli, read, spy)
+        code = _run("encode", "--rep", rep, "--events", str(one_second_stream),
+                    "--out-dir", str(tmp_path / "out"), "--delta-tau-us", "100000")
+        assert code == 0 and len(last) == 10
+
+    def test_file_that_shrinks_while_read_is_one_line_data_error(
+        self, one_second_stream, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(evrep.cli, "open", lambda path, mode: ShrinksAfterItsSize(path),
+                            raising=False)
+        code = _run("encode", "--rep", "count", "--events", str(one_second_stream),
+                    "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: input ended 14 bytes short of its size\n"
+        assert not list((tmp_path / "out").glob("*.evtn"))
 
     def test_zero_width_header_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.evs"

@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from evrep.errors import EvrepError, ParseError
 from evrep.io import (
+    _CHUNK_RECORDS,
     read_annotations_csv,
     read_detections_csv,
     read_events_binary,
@@ -30,15 +32,16 @@ from evrep.io import (
 )
 from evrep.model import Annotation, Detection, EventStream, FlowField, FrameGeometry
 
-from conftest import make_random_stream
+from conftest import ShrinksAfterItsSize, make_random_stream, same_bits
+from evs_oracle import read_events_oracle
 
 
 def _header(width=32, height=24, t_max=1_000_000) -> bytes:
     return struct.pack("<4sIHHQ", b"EVST", 1, width, height, t_max)
 
 
-def _record(t, x, y, p) -> bytes:
-    return struct.pack("<QHHBB", t, x, y, p, 0)
+def _record(t, x, y, p, reserved=0) -> bytes:
+    return struct.pack("<QHHBB", t, x, y, p, reserved)
 
 
 class TestEventsBinary:
@@ -88,6 +91,12 @@ class TestEventsBinary:
         with pytest.raises(EvrepError, match=r"^polarity not in \{0, 1\} at record 0$"):
             read_events_binary(_header() + _record(100, 3, 4, 2))
 
+    def test_reserved_byte_rejected(self):
+        # a stream read back must write back to the same bytes
+        data = _header(8, 6) + _record(100, 3, 4, 1, reserved=7)
+        with pytest.raises(EvrepError, match="^reserved byte not 0 at record 0$"):
+            read_events_binary(data)
+
     def test_round_trip_bitwise(self, rng, small_geometry):
         for _ in range(20):
             stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 500)))
@@ -116,6 +125,142 @@ class TestEventsBinary:
         assert len(again) == 10_000
         for name in "txyp":
             assert np.array_equal(getattr(stream, name), getattr(again, name))
+
+
+# A valid stream of more than three chunks, and single-record defects placed
+# within two records of a chunk edge: (kind, chunk edge, offset from it).
+_EDGES = 4
+_DEFECT = st.tuples(
+    st.sampled_from(["early", "late", "u64", "x", "y", "p", "reserved"]),
+    st.integers(0, _EDGES),
+    st.integers(-2, 2),
+)
+
+
+def _chunked_records(seed: int, extra: int, defects) -> bytes:
+    n = _EDGES * _CHUNK_RECORDS + extra
+    rng = np.random.default_rng(seed)
+    records = np.zeros(n, dtype=[("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"),
+                                 ("reserved", "u1")])
+    records["t"] = np.sort(rng.integers(0, 1_000_000, size=n))
+    records["x"] = rng.integers(0, 32, size=n)
+    records["y"] = rng.integers(0, 24, size=n)
+    records["p"] = rng.integers(0, 2, size=n)
+    for kind, edge, offset in defects:
+        i = min(max(edge * _CHUNK_RECORDS + offset, 0), n - 1)
+        r = records[i:i + 1]
+        if kind == "early":
+            r["t"] = r["t"] // 2
+        elif kind == "late":
+            r["t"] = 1_000_000 + int(r["t"][0])
+        elif kind == "u64":
+            r["t"] = 2**63 + 5
+        elif kind in ("x", "y"):
+            r[kind] = 32 if kind == "x" else 24
+        elif kind == "p":
+            r["p"] = 2 + int(r["p"][0])
+        else:
+            r["reserved"] = 1
+    return _header() + records.tobytes()
+
+
+def _read_both_sources(data: bytes):
+    """The reader's result, or its error message, on the bytes and on a file;
+    the two must agree."""
+    results = []
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.seek(0)
+        for source in (data, fh):
+            try:
+                stream = read_events_binary(source)
+                results.append((stream.geometry, (stream.t, stream.x, stream.y, stream.p)))
+            except EvrepError as exc:
+                results.append(str(exc))
+    from_bytes, from_file = results
+    if isinstance(from_bytes, str):
+        assert from_file == from_bytes
+    else:
+        assert from_file[0] == from_bytes[0]
+        for a, b in zip(from_file[1], from_bytes[1]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    return from_bytes
+
+
+def _assert_matches_oracle(data: bytes) -> None:
+    got = _read_both_sources(data)
+    try:
+        expected = read_events_oracle(data)
+    except EvrepError as exc:
+        assert got == str(exc)
+        return
+    assert not isinstance(got, str), got
+    assert got[0] == expected[0]
+    for a, b in zip(got[1], expected[1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestChunkedEventReader:
+    """read_events_binary decodes _CHUNK_RECORDS at a time; tests/evs_oracle.py
+    decodes the whole payload at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, _CHUNK_RECORDS - 1),
+           defects=st.lists(_DEFECT, max_size=4))
+    @example(seed=0, extra=0, defects=[])
+    @example(seed=1, extra=5, defects=[("reserved", 1, 0), ("p", 2, -1), ("x", 3, 1),
+                                       ("late", 3, 2), ("early", 4, 0)])
+    @example(seed=2, extra=1, defects=[("early", 1, 0), ("early", 1, -1), ("u64", 2, 0)])
+    def test_same_columns_or_message_as_the_oracle(self, seed, extra, defects):
+        _assert_matches_oracle(_chunked_records(seed, extra, defects))
+
+    @pytest.mark.parametrize("before, after, message", [
+        (2**32 - 1, 2**32, None),
+        (2**32, 2**32 + 1, None),
+        (2**63 - 1, 2**63 + 5, "timestamp outside [0, t_max) at record 8192"),
+        (2**63 + 5, 2**63 + 6, "timestamp outside [0, t_max) at record 8191"),
+        # past int64 the timestamp wraps negative, so time order breaks next
+        (2**63 + 5, 7, "non-monotonic timestamp at record 8192"),
+    ])
+    def test_timestamps_past_u32_and_int64_across_a_chunk_edge(self, before, after, message):
+        assert _CHUNK_RECORDS == 8192
+        n = 2 * _CHUNK_RECORDS
+        t = np.sort(np.random.default_rng(5).integers(0, 2**31, size=n)).astype(np.uint64)
+        t[_CHUNK_RECORDS - 1:_CHUNK_RECORDS + 1] = before, after
+        if after >= before:
+            t[_CHUNK_RECORDS + 1:] = after
+        data = _header(t_max=2**64 - 1) + b"".join(_record(int(v), 1, 2, 0) for v in t)
+        _assert_matches_oracle(data)
+        if message is None:
+            assert read_events_binary(data).t[_CHUNK_RECORDS] == after
+        else:
+            with pytest.raises(EvrepError, match=f"^{re.escape(message)}$"):
+                read_events_binary(data)
+
+    def test_file_that_shrinks_after_its_size_is_read(self, tmp_path):
+        path = tmp_path / "e.evs"
+        path.write_bytes(_header() + b"".join(_record(i, 1, 2, 0) for i in range(100)))
+        with ShrinksAfterItsSize(path) as fh:
+            with pytest.raises(EvrepError, match="^input ended 14 bytes short of its size$"):
+                read_events_binary(fh)
+
+    @pytest.mark.parametrize("source", ["bytes", "file"])
+    def test_read_holds_the_columns_and_one_chunk(self, tmp_path, source):
+        # 17 bytes per event stay in the stream's columns; the rest is one chunk
+        n = 200_000
+        data = write_events_binary(make_random_stream(
+            np.random.default_rng(4), FrameGeometry(304, 240, 1_000_000), n))
+        path = tmp_path / "e.evs"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                stream = read_events_binary(data if source == "bytes" else fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(stream) == n
+        assert peak < 18 * n + 2**20
 
 
 class TestEventsCsv:
@@ -205,6 +350,19 @@ class TestTensorFile:
             tracemalloc.stop()
         assert peak < t.nbytes
         assert np.array_equal(read_tensor(path), t)
+
+    def test_read_allocates_the_payload_once(self, tmp_path):
+        t = np.random.default_rng(3).random((8, 360, 640), dtype=np.float32)
+        path = tmp_path / "t.evtn"
+        write_tensor(t, path)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * t.nbytes
+        assert same_bits(back, t)
 
     def test_views_write_the_packed_bytes(self, rng, tmp_path):
         t = rng.normal(size=(3, 6, 5)).astype(np.float32)

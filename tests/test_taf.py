@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestInitAndRender:
         first[...] = 7.0
         assert np.array_equal(taf_render(state), expected)
 
+    def test_dense_render_holds_the_tensor_and_one_slot(self, rng, sensor_geometry):
+        # each slot's float64 elapse goes through one slot-sized buffer
+        stream = make_random_stream(rng, sensor_geometry, 50_000, t_hi=4 * DT)
+        state = _run_incremental(stream, 4, queue_depth=4)
+        state.fired = None
+        tensor_bytes = 4 * 2 * sensor_geometry.height * sensor_geometry.width * 4
+        slot_bytes = 2 * sensor_geometry.height * sensor_geometry.width * 8
+        tracemalloc.start()
+        try:
+            taf_render(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor_bytes + slot_bytes + 64 * 1024
 
     def test_render_equals_the_one_expression(self, rng, small_geometry):
         # the in-place render against the expression it replaces, bit for bit
