@@ -189,10 +189,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Time each step of the encode loop on a stream held in memory; write no tensors."""
     params = _encoder_params(args)
-    stream = _load_stream(args.events)
-    times, n_times = _detection_times(_annotation_times(args), stream.geometry, params)
     if args.warmup < 0:
         raise _UsageError("--warmup must be non-negative")
+    # every flag and the times checked against the header before the body is read
+    times, n_times = _detection_times(
+        _annotation_times(args), read_events_geometry(args.events), params
+    )
     if args.steps is not None:
         if not 0 < args.steps <= n_times:
             raise _UsageError(f"--steps must lie in [1, {n_times}], one per detection time")
@@ -206,7 +208,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise EvrepError(f"{args.events}: {n_times - args.warmup} samples need {need} bytes, "
                          f"but the machine has {have} bytes")
 
-    tensors = _tensors(stream, args.rep, params, times)
+    tensors = _tensors(_load_stream(args.events), args.rep, params, times)
     clock = time.perf_counter
     samples_us: list[float] = []
     events_processed = events_before = 0

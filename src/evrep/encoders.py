@@ -17,8 +17,10 @@ the events since the previous call's t_n (a one-slot TAF), so a run over
 ascending times costs one window per step, not the whole prefix. Decay
 stays implicit until the render, as TAF's aging does, and the render, like
 TAF's, works on the cells that have fired only, until they reach
-model.FIRED_SHARE of the frame, and on the whole frame after. No encoder
-checks a parameter domain; EncoderParams and FrameGeometry do.
+model.FIRED_SHARE of the frame, and on the whole frame after, in place
+through one float64 buffer the state holds (a dense step allocates only
+its float32 output and one bool plane). No encoder checks a parameter
+domain; EncoderParams and FrameGeometry do.
 
 Every read finds an event's cell with FrameGeometry.cells, the polarity-major
 order of every tensor's channels: volume channel c = 2b + p (bin 0 oldest),
@@ -117,7 +119,9 @@ class SaeState:
     sorted flat index of the cells with latest >= 0, which a cell joins when
     it first fires and never leaves, or None once it has reached FIRED_SHARE
     of the frame (model.add_fired): the render works on those cells only
-    while the index is live, and on the whole frame after.
+    while the index is live, and on the whole frame after. buffer is the
+    dense render's float64 scratch, one value per cell: None until the first
+    dense render allocates it, and reused by every later one.
     """
 
     geometry: FrameGeometry
@@ -126,6 +130,7 @@ class SaeState:
     fired: np.ndarray | None
     t_n: int = 0
     events_read: int = 0
+    buffer: np.ndarray | None = None
 
 
 def sae_init(geometry: FrameGeometry, params: EncoderParams) -> SaeState:
@@ -162,7 +167,21 @@ def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> Ten
     np.maximum.at(latest, cells, stream.t[i:j])
     state.t_n = t_n
 
-    out = np.zeros_like(latest, dtype=np.float32)
-    seen = latest >= 0 if state.fired is None else state.fired
-    out[seen] = np.exp(state.decay_per_us * (latest[seen] - float(t_n)))
+    # a huge decay times a long elapse overflows to -inf, and exp(-inf) = 0
+    # is the value meant
+    with np.errstate(over="ignore"):
+        if state.fired is not None:
+            out = np.zeros_like(latest, dtype=np.float32)
+            out[state.fired] = np.exp(state.decay_per_us * (latest[state.fired] - float(t_n)))
+        else:
+            # every cell in place in the state's buffer, then one cast; the
+            # cells that never fired are zeroed in the output
+            if state.buffer is None:
+                state.buffer = np.empty(len(latest))
+            buf = state.buffer
+            np.subtract(latest, float(t_n), out=buf)
+            np.multiply(state.decay_per_us, buf, out=buf)
+            np.exp(buf, out=buf)
+            out = buf.astype(np.float32)
+            np.copyto(out, 0, where=latest < 0)
     return out.reshape(2, geo.height, geo.width)

@@ -29,7 +29,8 @@ from evrep.io import (
 )
 from evrep.model import Annotation, Detection, EncoderParams, EventStream, FlowField, FrameGeometry
 
-from conftest import ShrinksAfterItsSize, make_random_stream
+from conftest import ShrinksAfterItsSize, make_random_stream, same_bits
+from encoders_oracle import sae_batch_oracle
 from taf_oracle import taf_batch_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -166,6 +167,21 @@ class TestEncode:
         assert code == 2
         assert "non-monotonic timestamp" in capsys.readouterr().err
         assert not list(out.glob("*.evtn"))
+
+    def test_sae_at_a_huge_decay_is_silent(self, one_second_stream, tmp_path):
+        # decay * elapse overflows to -inf on both render paths, and exp(-inf)
+        # = 0 is the value meant, so no RuntimeWarning reaches stderr
+        out = tmp_path / "out"
+        ran = _run_capped("encode", "--rep", "sae", "--events", one_second_stream,
+                          "--out-dir", out, "--delta-tau-us", "10000", "--sae-decay", "1e308")
+        assert (ran.returncode, ran.stderr) == (0, "")
+        stream = read_events_binary(one_second_stream.read_bytes())
+        files = sorted(out.glob("*.evtn"))
+        assert len(files) == 100
+        with np.errstate(over="ignore"):
+            for f in files:
+                want = sae_batch_oracle(stream, int(f.stem.split("_")[1]), 1e308)
+                assert same_bits(read_tensor(f), want), f.name
 
     def test_unknown_representation_is_usage_error(self, one_second_stream, tmp_path):
         code = _run(
@@ -498,6 +514,17 @@ class TestBench:
 
     def test_unknown_representation_is_usage_error(self, one_second_stream):
         assert _run("bench", "--rep", "hologram", "--events", str(one_second_stream)) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--warmup", "-1"), ("--steps", "0")])
+    def test_flags_are_checked_before_the_body_is_read(self, flag, value, rng, tmp_path, capsys):
+        # a valid header over a body whose timestamps descend
+        good = make_random_stream(rng, FrameGeometry(16, 12, 1_000_000), 1_000)
+        bad = tmp_path / "bad.evs"
+        bad.write_bytes(write_events_binary(
+            EventStream.from_arrays(good.geometry, good.t[::-1], good.x, good.y, good.p)))
+        assert _run("bench", "--rep", "sae", "--events", str(bad), flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"evrep: error: {flag} ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
     def test_steps_past_the_end_is_usage_error(self, rep, one_second_stream, capsys):

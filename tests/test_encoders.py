@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,67 @@ class TestSaeIncremental:
             shares.append(fired.size / state.latest.size)
         assert shares[0] < 0.05 and shares[-1] > 0.5
         assert state.fired is None  # dropped past the share, and for good
+
+
+class TestSaeDenseRender:
+    """The dense render runs in place through the state's one float64 buffer."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("decay", [1e-300, 1e-5, 1e3, 1e308])
+    @pytest.mark.parametrize("t0", [0, 2**53 - 40_000], ids=["t0-zero", "t0-near-2**53"])
+    def test_equals_batch_oracle(self, decay, t0):
+        # the first step renders the fired cells only, and the 96 cells fill
+        # past FIRED_SHARE soon after; from t0 near 2**53 the later times lie
+        # past it, where float(t_n) rounds
+        rng = np.random.default_rng(2020)
+        geo = FrameGeometry(8, 6, t0 + 100_000)
+        n = 400
+        t = np.sort(rng.integers(t0, t0 + 90_000, size=n, dtype=np.int64))
+        stream = EventStream.from_arrays(
+            geo, t, rng.integers(0, 8, n), rng.integers(0, 6, n), rng.integers(0, 2, n)
+        )
+        state = sae_init(geo, EncoderParams(sae_decay_per_us=decay))
+        times = np.unique(np.r_[t[5] + 1, t0 + np.arange(1, 11) * 10_000, rng.choice(t, 20) + 1])
+        dense = []
+        for t_n in times.tolist():
+            got = surface_active_events(stream, t_n, state)
+            with np.errstate(over="ignore"):
+                want = sae_batch_oracle(stream, t_n, decay)
+            assert same_bits(got, want), (decay, t_n)
+            dense.append(state.fired is None)
+        assert not dense[0] and dense[-1] and state.buffer is not None
+        assert t0 == 0 or times[-1] > 2**53
+
+    def test_no_buffer_while_the_fired_index_is_live(self, rng, small_geometry):
+        stream = make_random_stream(rng, small_geometry, 2_000)
+        state = sae_init(small_geometry, PARAMS)
+        t_n = 0
+        while state.fired is not None:
+            assert state.buffer is None
+            t_n += 10_000
+            surface_active_events(stream, t_n, state)
+        # allocated at the first dense render, then reused
+        buffer = state.buffer
+        assert buffer is not None and buffer.dtype == np.float64
+        assert buffer.shape == (2 * small_geometry.height * small_geometry.width,)
+        surface_active_events(stream, t_n + 10_000, state)
+        assert state.buffer is buffer
+
+    def test_dense_read_holds_the_tensor_and_one_bool_plane(self, rng, sensor_geometry):
+        stream = make_random_stream(rng, sensor_geometry, 100_000, t_hi=100_000)
+        state = sae_init(sensor_geometry, PARAMS)
+        surface_active_events(stream, 80_000, state)
+        assert state.fired is None and state.buffer is not None
+        window = int(np.searchsorted(stream.t, 90_000) - np.searchsorted(stream.t, 80_000))
+        cells = 2 * sensor_geometry.height * sensor_geometry.width
+        tracemalloc.start()
+        try:
+            surface_active_events(stream, 90_000, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 output, the bool plane, two int64 arrays per window event
+        assert peak < 4 * cells + cells + 16 * window + 64 * 1024
 
 
 def test_reads_past_int64_count_every_event():
