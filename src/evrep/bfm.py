@@ -47,6 +47,19 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
+def _param(name: str, value, shape: tuple[int | None, ...]) -> np.ndarray:
+    """value as a float32 array of the given shape, where None is any size.
+    A wrong shape raises EvrepError, a non-finite value InvalidParamError."""
+    a = np.asarray(value, dtype=np.float32)
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        want = ", ".join("any" if n is None else str(n) for n in shape)
+        got = ", ".join(map(str, a.shape))
+        raise EvrepError(f"{name} must have shape ({want}), got ({got})")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParamError(f"{name} must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class FoldStage:
     """One pair-aggregation stage: per (polarity, output slot) a weight pair,
@@ -57,15 +70,9 @@ class FoldStage:
     scale: np.ndarray    # (2, out_slots)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float32)
-        b = np.asarray(self.bias, dtype=np.float32)
-        s = np.asarray(self.scale, dtype=np.float32)
-        if w.ndim != 3 or w.shape[0] != 2 or w.shape[2] != 2:
-            raise EvrepError(f"stage weights must be (2, out_slots, 2), got {w.shape}")
-        if b.shape != w.shape[:2] or s.shape != w.shape[:2]:
-            raise EvrepError("stage bias/scale must be (2, out_slots)")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
-            raise InvalidParamError("stage parameters must be finite")
+        w = _param("stage weights", self.weights, (2, None, 2))
+        b = _param("stage bias", self.bias, w.shape[:2])
+        s = _param("stage scale", self.scale, w.shape[:2])
         if np.any(np.linalg.norm(w, axis=-1) == 0.0):
             raise InvalidParamError("weight pairs must have non-zero norm")
         object.__setattr__(self, "weights", w)
@@ -107,24 +114,10 @@ class BfmWeights:
                 )
             slots = expected
 
-        w1 = np.asarray(self.mlp_w1, dtype=np.float32)
-        b1 = np.asarray(self.mlp_b1, dtype=np.float32)
-        w2 = np.asarray(self.mlp_w2, dtype=np.float32)
-        b2 = np.asarray(self.mlp_b2, dtype=np.float32)
-        retained = 2 * len(self.stages)
-        if w1.ndim != 2 or w1.shape[1] != retained:
-            raise EvrepError(
-                f"mlp_w1 must be (hidden, {retained}), got {getattr(w1, 'shape', None)}"
-            )
-        if b1.shape != (w1.shape[0],):
-            raise EvrepError("mlp_b1 must match mlp_w1 rows")
-        if w2.ndim != 2 or w2.shape[1] != w1.shape[0]:
-            raise EvrepError("mlp_w2 columns must match mlp_w1 rows")
-        if b2.shape != (w2.shape[0],):
-            raise EvrepError("mlp_b2 must match mlp_w2 rows")
-        for a in (w1, b1, w2, b2):
-            if not np.all(np.isfinite(a)):
-                raise InvalidParamError("mlp parameters must be finite")
+        w1 = _param("mlp_w1", self.mlp_w1, (None, 2 * len(self.stages)))
+        b1 = _param("mlp_b1", self.mlp_b1, w1.shape[:1])
+        w2 = _param("mlp_w2", self.mlp_w2, (None, w1.shape[0]))
+        b2 = _param("mlp_b2", self.mlp_b2, w2.shape[:1])
         object.__setattr__(self, "mlp_w1", w1)
         object.__setattr__(self, "mlp_b1", b1)
         object.__setattr__(self, "mlp_w2", w2)

@@ -191,12 +191,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = _encoder_params(args)
     if args.warmup < 0:
         raise _UsageError("--warmup must be non-negative")
+    if args.steps is not None and args.steps < 1:
+        raise _UsageError("--steps must be positive")
     # every flag and the times checked against the header before the body is read
     times, n_times = _detection_times(
         _annotation_times(args), read_events_geometry(args.events), params
     )
     if args.steps is not None:
-        if not 0 < args.steps <= n_times:
+        if args.steps > n_times:
             raise _UsageError(f"--steps must lie in [1, {n_times}], one per detection time")
         times, n_times = times[: args.steps], args.steps
     if n_times <= args.warmup:

@@ -25,7 +25,11 @@ Tensor file (.evtn)
 
 Flow field (.flow)
     header   magic b"FLOW" | t u64 | H u32 | W u32
-    payload  H*W float32 u-plane (row-major), then the v-plane
+    payload  H*W float32 u-plane (row-major), then the v-plane; read into
+             one (2, H, W) array once its size is checked, as a tensor is
+
+The three binary readers take their header through _header, which rejects
+a short header or another magic; each format then checks its own version.
 
 CSV (one dialect, read by ``_rows`` and written by ``write_csv``)
     One optional header line (a first line whose first field is not a
@@ -127,12 +131,20 @@ def _fill(source: BinaryIO, buffer: np.ndarray) -> None:
         raise EvrepError(f"input ended {wanted - got} bytes short of its size")
 
 
-def _event_header(data: bytes) -> FrameGeometry:
-    if len(data) < _EVENT_HEADER.size:
-        raise EvrepError("input shorter than the stream header")
-    magic, version, width, height, t_max = _EVENT_HEADER.unpack_from(data, 0)
-    if magic != EVENT_MAGIC:
-        raise EvrepError(f"expected {EVENT_MAGIC!r}, found {magic!r}")
+def _header(source: BinaryIO, header: struct.Struct, magic: bytes, what: str) -> tuple:
+    """The fields after the magic of a container header read from source's
+    position; a short header or another magic raises EvrepError."""
+    data = source.read(header.size)
+    if len(data) < header.size:
+        raise EvrepError(f"input shorter than the {what} header")
+    fields = header.unpack(data)
+    if fields[0] != magic:
+        raise EvrepError(f"expected {magic!r}, found {fields[0]!r}")
+    return fields[1:]
+
+
+def _event_header(source: BinaryIO) -> FrameGeometry:
+    version, width, height, t_max = _header(source, _EVENT_HEADER, EVENT_MAGIC, "stream")
     if version != 1:
         raise EvrepError(f"unsupported event stream version {version}")
     return FrameGeometry(width, height, t_max)
@@ -141,7 +153,7 @@ def _event_header(data: bytes) -> FrameGeometry:
 def read_events_geometry(path: str | Path) -> FrameGeometry:
     """The geometry in an event stream file's header; reads the header only."""
     with open(path, "rb") as fh:
-        return _event_header(fh.read(_EVENT_HEADER.size))
+        return _event_header(fh)
 
 
 def read_events_binary(source: bytes | BinaryIO) -> EventStream:
@@ -158,7 +170,7 @@ def read_events_binary(source: bytes | BinaryIO) -> EventStream:
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    geometry = _event_header(source.read(_EVENT_HEADER.size))
+    geometry = _event_header(source)
     body, size = _payload_size(source), _EVENT_RECORD_DTYPE.itemsize
     if body % size != 0:
         raise EvrepError(f"{body} payload bytes is not a multiple of {size}")
@@ -303,12 +315,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     allocation.
     """
     with open(path, "rb") as fh:
-        header = fh.read(_TENSOR_HEADER.size)
-        if len(header) < _TENSOR_HEADER.size:
-            raise EvrepError("input shorter than the tensor header")
-        magic, version, c, h, w, dtype_code = _TENSOR_HEADER.unpack(header)
-        if magic != TENSOR_MAGIC:
-            raise EvrepError(f"expected {TENSOR_MAGIC!r}, found {magic!r}")
+        version, c, h, w, dtype_code = _header(fh, _TENSOR_HEADER, TENSOR_MAGIC, "tensor")
         if version != 1:
             raise EvrepError(f"unsupported tensor version {version}")
         if dtype_code != 0:
@@ -322,25 +329,28 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return tensor.astype(np.float32, copy=False)
 
 
-def _box(no: int, fields: list[str]) -> tuple[int, float, float, float, float, int]:
-    """t, x, y, w, h, class_id of one annotation or detection row."""
+def _box(no: int, fields: list[str], kind: type[Annotation]) -> Annotation:
+    """The Annotation, or the Detection with its seventh "score" field, of one
+    row; the class's own check of the box is reported with the line number."""
     t = _parse_int(fields[0], no, "timestamp")
     x = _parse_float(fields[1], no, "x")
     y = _parse_float(fields[2], no, "y")
     w = _parse_float(fields[3], no, "w")
     h = _parse_float(fields[4], no, "h")
     class_id = _parse_int(fields[5], no, "class_id")
-    if w <= 0 or h <= 0:
-        raise ParseError(no, "box width/height must be positive")
+    score = (_parse_float(fields[6], no, "score"),) if kind is Detection else ()
     # both are held in int64 arrays downstream
     if not (0 <= t < 2**63 and 0 <= class_id < 2**63):
         raise ParseError(no, f"timestamp {t} or class_id {class_id} outside [0, 2**63)")
-    return t, x, y, w, h, class_id
+    try:
+        return kind(t, x, y, w, h, class_id, *score)
+    except InvalidParamError as exc:
+        raise ParseError(no, str(exc)) from None
 
 
 def read_annotations_csv(text: str) -> list[Annotation]:
     """Parse "t,x,y,w,h,class_id" rows."""
-    return [Annotation(*_box(no, fields)) for no, fields in _rows(text, 6)]
+    return [_box(no, fields, Annotation) for no, fields in _rows(text, 6)]
 
 
 def write_annotations_csv(annotations: Sequence[Annotation]) -> str:
@@ -351,14 +361,7 @@ def write_annotations_csv(annotations: Sequence[Annotation]) -> str:
 
 def read_detections_csv(text: str) -> list[Detection]:
     """As read_annotations_csv with a seventh "score" column."""
-    out: list[Detection] = []
-    for no, fields in _rows(text, 7):
-        box = _box(no, fields)
-        score = _parse_float(fields[6], no, "score")
-        if not 0.0 <= score <= 1.0:
-            raise ParseError(no, f"score {score} outside [0, 1]")
-        out.append(Detection(*box, score))
-    return out
+    return [_box(no, fields, Detection) for no, fields in _rows(text, 7)]
 
 
 def write_detections_csv(detections: Sequence[Detection]) -> str:
@@ -402,17 +405,12 @@ def write_flow(flow: FlowField, path: str | Path) -> None:
 
 def read_flow(path: str | Path) -> FlowField:
     """Read a .flow file back into a FlowField; inverse of write_flow."""
-    data = Path(path).read_bytes()
-    if len(data) < _FLOW_HEADER.size:
-        raise EvrepError("input shorter than the flow header")
-    magic, t, h, w = _FLOW_HEADER.unpack_from(data, 0)
-    if magic != FLOW_MAGIC:
-        raise EvrepError(f"expected {FLOW_MAGIC!r}, found {magic!r}")
-    plane = h * w * 4
-    if len(data) - _FLOW_HEADER.size != 2 * plane:
-        raise EvrepError(
-            f"payload holds {len(data) - _FLOW_HEADER.size} bytes, expected {2 * plane}"
-        )
-    u = np.frombuffer(data, dtype="<f4", count=h * w, offset=_FLOW_HEADER.size).reshape(h, w)
-    v = np.frombuffer(data, dtype="<f4", count=h * w, offset=_FLOW_HEADER.size + plane).reshape(h, w)
-    return FlowField.from_planes(t, u, v)
+    with open(path, "rb") as fh:
+        t, h, w = _header(fh, _FLOW_HEADER, FLOW_MAGIC, "flow")
+        expected = 2 * h * w * 4
+        actual = _payload_size(fh)
+        if actual != expected:
+            raise EvrepError(f"payload holds {actual} bytes, expected {expected}")
+        planes = np.empty((2, h, w), dtype="<f4")
+        _fill(fh, planes)
+    return FlowField.from_planes(t, planes[0], planes[1])

@@ -173,22 +173,15 @@ class Annotation:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """A scored predicted box; same layout as Annotation plus score in [0, 1]."""
+class Detection(Annotation):
+    """A scored predicted box: an Annotation plus a score in [0, 1]."""
 
-    t: int
-    x: float
-    y: float
-    w: float
-    h: float
-    class_id: int
     score: float
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise InvalidParamError("box width and height must be positive")
+        super().__post_init__()
         if not 0.0 <= self.score <= 1.0:
-            raise InvalidParamError("score must lie in [0, 1]")
+            raise InvalidParamError(f"score {self.score} outside [0, 1]")
 
 
 @dataclass(frozen=True)

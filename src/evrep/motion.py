@@ -9,6 +9,7 @@ dropped so an ambiguous flow region never contributes.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,10 +93,6 @@ class MotionLevels:
     boundaries: tuple[float, float, float, float]
     levels: tuple[int, ...]
 
-    def level_of(self, value: float) -> int:
-        """1 + number of boundaries strictly below the value (so 1..5)."""
-        return 1 + sum(b < value for b in self.boundaries)
-
 
 def motion_levels(bbofds: Sequence[float]) -> MotionLevels:
     """Stratify values at the 20/40/60/80% nearest-rank quantiles.
@@ -109,5 +106,7 @@ def motion_levels(bbofds: Sequence[float]) -> MotionLevels:
     ordered = sorted(float(v) for v in bbofds)
     # ceil(k*n/5) via integers; k/5 are the exact quantile fractions
     boundaries = tuple(ordered[(k * n + 4) // 5 - 1] for k in (1, 2, 3, 4))
-    levels = MotionLevels(boundaries, ())
-    return MotionLevels(boundaries, tuple(levels.level_of(float(v)) for v in bbofds))
+    # 1 + the number of boundaries strictly below the value, so 1..5
+    return MotionLevels(
+        boundaries, tuple(1 + bisect.bisect_left(boundaries, float(v)) for v in bbofds)
+    )

@@ -141,6 +141,41 @@ def test_zero_weight_pair_rejected():
         )
 
 
+def _stage(**arrays) -> FoldStage:
+    return FoldStage(**{"weights": np.ones((2, 1, 2)), "bias": np.zeros((2, 1)),
+                        "scale": np.ones((2, 1)), **arrays})
+
+
+def _weights(**arrays) -> BfmWeights:
+    # K = 2, one identity stage and an identity MLP, with arrays replaced
+    return BfmWeights(**{"queue_depth": 2, "stages": (identity_stage(1),),
+                         "mlp_w1": np.eye(2), "mlp_b1": np.zeros(2),
+                         "mlp_w2": np.eye(2), "mlp_b2": np.zeros(2), **arrays})
+
+
+@pytest.mark.parametrize("build,arrays,message", [
+    (_stage, {"weights": np.ones((2, 1, 3))},
+     r"stage weights must have shape \(2, any, 2\), got \(2, 1, 3\)"),
+    (_stage, {"scale": np.ones((2, 2))}, r"stage scale must have shape \(2, 1\), got \(2, 2\)"),
+    (_weights, {"mlp_w1": np.eye(3)}, r"mlp_w1 must have shape \(any, 2\), got \(3, 3\)"),
+    (_weights, {"mlp_b2": np.zeros((1, 2))}, r"mlp_b2 must have shape \(2\), got \(1, 2\)"),
+], ids=["stage-weights", "stage-scale", "mlp-w1", "mlp-b2"])
+def test_parameter_of_wrong_shape_rejected(build, arrays, message):
+    with pytest.raises(EvrepError, match=f"^{message}$") as exc:
+        build(**arrays)
+    assert type(exc.value) is EvrepError
+
+
+@pytest.mark.parametrize("build,name,value", [
+    (_stage, "bias", [[0.0], [np.nan]]),
+    (_weights, "mlp_w2", [[1.0, np.inf], [0.0, 1.0]]),
+], ids=["stage-bias-nan", "mlp-w2-inf"])
+def test_non_finite_parameter_rejected(build, name, value):
+    label = name if name.startswith("mlp") else f"stage {name}"
+    with pytest.raises(InvalidParamError, match=f"^{label} must be finite$"):
+        build(**{name: value})
+
+
 def test_weight_file_round_trip(rng, tmp_path):
     weights = random_weights(8, seed=31)
     save_weights(weights, tmp_path / "w")

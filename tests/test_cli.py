@@ -526,6 +526,12 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith(f"evrep: error: {flag} ") and len(err.splitlines()) == 1
 
+    def test_steps_below_one_on_a_missing_file_is_usage_error(self, tmp_path, capsys):
+        # checked before the header is read, like --warmup
+        missing = tmp_path / "missing.evs"
+        assert _run("bench", "--rep", "count", "--events", str(missing), "--steps", "0") == 1
+        assert capsys.readouterr().err == "evrep: error: --steps must be positive\n"
+
     @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
     def test_steps_past_the_end_is_usage_error(self, rep, one_second_stream, capsys):
         common = ["bench", "--rep", rep, "--events", str(one_second_stream),

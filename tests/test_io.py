@@ -406,8 +406,27 @@ class TestBoxCsv:
         assert (a.t, a.x, a.y, a.w, a.h, a.class_id) == (1000, 10.0, 20.0, 30.0, 40.0, 0)
 
     def test_non_positive_size(self):
-        with pytest.raises(ParseError, match="^line 1: box width/height must be positive$"):
+        # the message is Annotation's own, with the line number
+        with pytest.raises(ParseError, match="^line 1: box width and height must be positive$"):
             read_annotations_csv("1000,10,20,0,40,0\n")
+        with pytest.raises(ParseError, match="^line 2: box width and height must be positive$"):
+            read_detections_csv("t,x,y,w,h,class_id,score\n1000,10,20,0,40,0,0.5\n")
+
+    @pytest.mark.parametrize("score", ["1.5", "-0.25"])
+    def test_score_outside_unit_interval(self, score):
+        with pytest.raises(ParseError, match=rf"^line 2: score {score} outside \[0, 1\]$"):
+            read_detections_csv(f"1000,1,1,5,5,0,0.5\n1000,1,1,5,5,0,{score}\n")
+
+    @pytest.mark.parametrize("line,message", [
+        # a field that does not parse, the score's too, before any range check
+        ("1,1,1,0,5,0,high", "bad score 'high'"),
+        # the int64 range, then the box, then the score
+        ("-1,1,1,0,5,0,2", r"timestamp -1 or class_id 0 outside \[0, 2\*\*63\)"),
+        ("1,1,1,0,5,0,2", "box width and height must be positive"),
+    ], ids=["parse", "int64-range", "box"])
+    def test_first_defect_of_a_row_wins(self, line, message):
+        with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+            read_detections_csv(line + "\n")
 
     def test_extra_columns_ignored(self):
         boxes = read_annotations_csv("1000,10,20,30,40,0,77,confidence\n")
@@ -469,6 +488,13 @@ class TestFlowFile:
         write_flow(FlowField.from_planes(0, np.ones((2, 3)), np.ones((2, 3))), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(EvrepError, match="^payload holds 40 bytes, expected 48$"):
+            read_flow(path)
+
+    def test_shorter_than_its_header(self, tmp_path):
+        path = tmp_path / "f.flow"
+        write_flow(FlowField.from_planes(0, np.ones((2, 3)), np.ones((2, 3))), path)
+        path.write_bytes(path.read_bytes()[:19])
+        with pytest.raises(EvrepError, match="^input shorter than the flow header$"):
             read_flow(path)
 
     def test_bad_magic(self, tmp_path):

@@ -49,9 +49,19 @@ class TestInvariants:
             Annotation(0, 1.0, 1.0, 0.0, 5.0, 0)
 
     def test_detection_score_domain(self):
-        with pytest.raises(InvalidParamError):
-            Detection(0, 1.0, 1.0, 5.0, 5.0, 0, 1.5)
+        for score in (1.5, -0.25, float("nan")):
+            with pytest.raises(InvalidParamError, match=rf"^score {score} outside \[0, 1\]$"):
+                Detection(0, 1.0, 1.0, 5.0, 5.0, 0, score)
         Detection(0, 1.0, 1.0, 5.0, 5.0, 0, 1.0)
+        Detection(0, 1.0, 1.0, 5.0, 5.0, 0, 0.0)
+
+    def test_detection_is_an_annotation_plus_a_score(self):
+        # the box check is Annotation's, and it runs before the score's
+        with pytest.raises(InvalidParamError, match="^box width and height must be positive$"):
+            Detection(0, 1.0, 1.0, 0.0, 5.0, 0, 1.5)
+        det = Detection(7, 1.0, 2.0, 3.0, 4.0, 5, 0.5)
+        assert isinstance(det, Annotation)
+        assert det != Annotation(7, 1.0, 2.0, 3.0, 4.0, 5)
 
     def test_encoder_params_domains(self):
         # the one check of each encoder domain: no encoder repeats it

@@ -207,11 +207,6 @@ class TestMotionLevels:
         ranked = np.asarray(levels.levels)[order]
         assert np.all(np.diff(ranked) >= 0)
 
-    def test_level_of_matches_assignment(self, rng):
-        values = list(rng.random(100))
-        levels = motion_levels(values)
-        assert tuple(levels.level_of(v) for v in values) == levels.levels
-
     def test_empty_input(self):
         with pytest.raises(EvrepError, match="^need at least one value$"):
             motion_levels([])
