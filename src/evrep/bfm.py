@@ -49,8 +49,10 @@ def _relu(a: np.ndarray) -> np.ndarray:
 
 def _param(name: str, value, shape: tuple[int | None, ...]) -> np.ndarray:
     """value as a float32 array of the given shape, where None is any size.
-    A wrong shape raises EvrepError, a non-finite value InvalidParamError."""
-    a = np.asarray(value, dtype=np.float32)
+    A wrong shape raises EvrepError, a non-finite value InvalidParamError
+    (a finite value past float32's range casts to inf, silently)."""
+    with np.errstate(over="ignore"):
+        a = np.asarray(value, dtype=np.float32)
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = ", ".join("any" if n is None else str(n) for n in shape)
         got = ", ".join(map(str, a.shape))

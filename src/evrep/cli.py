@@ -102,17 +102,16 @@ def _annotation_times(args: argparse.Namespace) -> list[int] | None:
 
 def _detection_times(
     annotation_times: list[int] | None, geometry: FrameGeometry, params: EncoderParams
-) -> tuple[Sequence[int], int]:
-    """The detection times and their count: the annotation times, each checked
-    against the geometry's [0, t_max], else the lazy grid delta_tau, 2 *
-    delta_tau, ... within t_max (a partial last window is dropped). The grid's
-    count is not len(): a range past 2**63 has none."""
+) -> Sequence[int]:
+    """The annotation times, each checked against the geometry's [0, t_max],
+    else the lazy grid delta_tau, 2 * delta_tau, ... within t_max (a partial
+    last window is dropped)."""
     if annotation_times is None:
         dt, n = params.delta_tau_us, geometry.t_max_us // params.delta_tau_us
-        return range(dt, (n + 1) * dt, dt), n
+        return range(dt, (n + 1) * dt, dt)
     for t_n in annotation_times:
         geometry.check_detection_time(t_n)
-    return annotation_times, len(annotation_times)
+    return annotation_times
 
 
 def _tensors(
@@ -148,7 +147,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     # every file's times, checked against its header, before the first write
     annotation_times = _annotation_times(args)
     plan = [
-        (path, *_detection_times(annotation_times, read_events_geometry(path), params))
+        (path, _detection_times(annotation_times, read_events_geometry(path), params))
         for path in args.events
     ]
     out_dir = Path(args.out_dir)
@@ -156,14 +155,14 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
     written: list[Path] = []
 
-    def encode(path: str, times: Sequence[int], n_times: int) -> None:
+    def encode(path: str, times: Sequence[int]) -> None:
         stream = _load_stream(path)
         checked = False
         for t_n, tensor, _ in _tensors(stream, args.rep, params, times):
             if not checked:  # a grid far past the last event would write until the disk is full
-                need, free = n_times * tensor_file_size(tensor), shutil.disk_usage(out_dir).free
+                need, free = len(times) * tensor_file_size(tensor), shutil.disk_usage(out_dir).free
                 if need > free:
-                    raise EvrepError(f"{path}: {n_times} tensor file(s) need {need} bytes, "
+                    raise EvrepError(f"{path}: {len(times)} tensor file(s) need {need} bytes, "
                                      f"but {out_dir} has {free} free")
                 checked = True
             out = out_dir / f"{Path(path).stem}_{t_n}.evtn"
@@ -194,13 +193,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.steps is not None and args.steps < 1:
         raise _UsageError("--steps must be positive")
     # every flag and the times checked against the header before the body is read
-    times, n_times = _detection_times(
-        _annotation_times(args), read_events_geometry(args.events), params
-    )
+    times = _detection_times(_annotation_times(args), read_events_geometry(args.events), params)
     if args.steps is not None:
-        if args.steps > n_times:
-            raise _UsageError(f"--steps must lie in [1, {n_times}], one per detection time")
-        times, n_times = times[: args.steps], args.steps
+        if args.steps > len(times):
+            raise _UsageError(f"--steps must lie in [1, {len(times)}], one per detection time")
+        times = times[: args.steps]
+    n_times = len(times)
     if n_times <= args.warmup:
         raise _UsageError(f"{n_times} steps leave no samples after {args.warmup} warm-up steps")
     # a grid far past the last event would time until memory runs out
@@ -248,13 +246,11 @@ def _cmd_levels(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.flows).glob("*.flow"))
     if not paths:
         raise EvrepError(f"no .flow files under {args.flows}")
-    # one flow field is held at a time; the first file sets the frame size,
-    # the only part of the geometry that sanitization reads, and every file
-    # must have it
+    # one flow field is held at a time; the first file sets the frame size
+    # that sanitization clips to, and every file must have it
     flow = read_flow(paths[0])
     width, height = flow.width, flow.height
-    t_hi = max(max((a.t for a in annotations), default=0), flow.t) + 1
-    report = sanitize_report(annotations, FrameGeometry(width, height, t_hi))
+    report = sanitize_report(annotations, width, height)
 
     kept_by_t: dict[int, list[int]] = {}
     for pos, box in enumerate(report.kept):
@@ -299,9 +295,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.levels:
         if args.width is None or args.height is None:
             raise _UsageError("--levels needs --width and --height for sanitization")
-        t_hi = max((a.t for a in annotations), default=0) + 1
-        geometry = _config(FrameGeometry, width=args.width, height=args.height, t_max_us=t_hi)
-        report = sanitize_report(annotations, geometry)
+        if args.width <= 0 or args.height <= 0:
+            raise _UsageError("frame dimensions must be positive")
+        report = sanitize_report(annotations, args.width, args.height)
         level_rows = read_levels_csv(Path(args.levels).read_text())
         level_map = {(t, index): level for t, index, _, level in level_rows}
         try:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvrepError
 from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, add_fired
 
 
@@ -78,8 +77,7 @@ def event_volume(stream: EventStream, t_n: int, state: WindowState) -> TensorCHW
     t_lo = t_n - bins * delta_tau_us
     i, j = stream.slice_range(t_lo, t_n)
     state.events_read += j - i
-    # offsets from t_lo; an empty window's t_lo may lie past int64
-    since = stream.t[i:j] - t_lo if j > i else np.zeros(0, dtype=np.int64)
+    since = stream.t[i:j] - t_lo  # offsets from t_lo
     cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
     # bin b's two channels start at flat index b * 2HW
     if params.kernel == "rect":
@@ -153,9 +151,7 @@ def surface_active_events(stream: EventStream, t_n: int, state: SaeState) -> Ten
     """
     geo = state.geometry
     geo.check_stream(stream)
-    geo.check_detection_time(t_n)
-    if t_n < state.t_n:
-        raise EvrepError(f"detection timestamp {t_n} precedes the state's {state.t_n}")
+    geo.check_detection_time(t_n, state.t_n)
 
     i, j = stream.slice_range(state.t_n, t_n)
     state.events_read += j - i

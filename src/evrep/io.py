@@ -7,6 +7,8 @@ hand back values that violate the data-model invariants; they raise.
 Event stream binary (.evs)
     header   magic b"EVST" | version u32 = 1 | W u16 | H u16 | T_max u64
     records  t u64 | x u16 | y u16 | p u8 | reserved u8 (= 0)   [14 bytes each]
+    T_max lies in [1, 2**63), FrameGeometry's bound, and each t in [0, T_max),
+    so every time the reader hands back fits int64.
     read_events_binary takes the file's bytes or a binary file open at its
     start; bytes go through io.BytesIO, so one decode loop serves both. The
     payload's size comes from the source, the int64/int32/int32/uint8

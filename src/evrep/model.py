@@ -2,8 +2,10 @@
 
 Conventions used throughout the toolkit:
 
-* Timestamps are integer microseconds everywhere. Unit conversions happen
-  only inside formulas whose constants demand another unit.
+* Timestamps are integer microseconds everywhere. Event, detection and box
+  times lie in [0, 2**63), so they fit int64: FrameGeometry bounds
+  t_max_us, and with it every event and detection time. Unit conversions
+  happen only inside formulas whose constants demand another unit.
 * Polarity is stored as {0, 1}, never as {-1, +1}.
 * Dense tensors are numpy float32 arrays of shape (C, H, W), channel-major.
 * Box coordinates are continuous; rasterization to pixel indices happens
@@ -26,7 +28,8 @@ TensorCHW = np.ndarray
 
 @dataclass(frozen=True)
 class FrameGeometry:
-    """Sensor picture size plus the maximum record duration in microseconds."""
+    """Sensor picture size plus the maximum record duration in microseconds,
+    in [1, 2**63): the one owner of the time domain."""
 
     width: int
     height: int
@@ -35,13 +38,16 @@ class FrameGeometry:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise InvalidParamError("frame dimensions must be positive")
-        if self.t_max_us <= 0:
-            raise InvalidParamError("t_max_us must be positive")
+        if not 1 <= self.t_max_us < 2**63:
+            raise InvalidParamError("t_max_us must lie in [1, 2**63)")
 
-    def check_detection_time(self, t_n: int) -> None:
-        """Raise EvrepError unless 0 <= t_n <= t_max_us."""
+    def check_detection_time(self, t_n: int, since: int = 0) -> None:
+        """Raise EvrepError unless 0 <= t_n <= t_max_us and since <= t_n,
+        where since is the time a running state has already read up to."""
         if not 0 <= t_n <= self.t_max_us:
             raise EvrepError(f"detection timestamp {t_n} outside [0, {self.t_max_us}]")
+        if t_n < since:
+            raise EvrepError(f"detection timestamp {t_n} precedes the state's {since}")
 
     def check_stream(self, stream: EventStream | WindowView) -> None:
         """Raise EvrepError unless the stream (or the window cut from one) was
@@ -109,11 +115,7 @@ class EventStream:
         return int(self.t.shape[0])
 
     def count_before(self, t_us: int) -> int:
-        """The number of events with t < t_us. Every int64 timestamp lies
-        before a t_us past int64, which np.searchsorted would compare
-        through float64, so such a t_us counts every event."""
-        if t_us >= 2**63:
-            return len(self)
+        """The number of events with t < t_us."""
         return int(np.searchsorted(self.t, t_us, side="left"))
 
     def slice_range(self, t_lo: int, t_hi: int) -> tuple[int, int]:

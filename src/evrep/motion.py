@@ -10,13 +10,14 @@ dropped so an ambiguous flow region never contributes.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EvrepError
-from .model import Annotation, FlowField, FrameGeometry
+from .model import Annotation, FlowField
 
 
 def flow_intensity(flow: FlowField) -> np.ndarray:
@@ -54,15 +55,15 @@ class SanitizeReport:
     removed_overlapping: tuple[Annotation, ...]
 
 
-def sanitize_report(boxes: Sequence[Annotation], geometry: FrameGeometry) -> SanitizeReport:
-    """Clip boxes to the frame, then drop both members of every same-timestamp
-    pair whose clipped regions intersect with positive area."""
+def sanitize_report(boxes: Sequence[Annotation], width: int, height: int) -> SanitizeReport:
+    """Clip boxes to the width x height frame, then drop both members of every
+    same-timestamp pair whose clipped regions intersect with positive area."""
     clipped: list[tuple[int, Annotation]] = []
     for i, b in enumerate(boxes):
         x0 = max(b.x, 0.0)
         y0 = max(b.y, 0.0)
-        x1 = min(b.x + b.w, float(geometry.width))
-        y1 = min(b.y + b.h, float(geometry.height))
+        x1 = min(b.x + b.w, float(width))
+        y1 = min(b.y + b.h, float(height))
         if x1 - x0 <= 0 or y1 - y0 <= 0:
             continue
         clipped.append((i, Annotation(b.t, x0, y0, x1 - x0, y1 - y0, b.class_id)))
@@ -98,15 +99,17 @@ def motion_levels(bbofds: Sequence[float]) -> MotionLevels:
     """Stratify values at the 20/40/60/80% nearest-rank quantiles.
 
     The q-quantile is the ceil(q*n)-th order statistic; levels are monotone
-    in the value, and a constant input lands entirely in level 1.
+    in the value, and a constant input lands entirely in level 1. +inf
+    orders like any value; NaN does not, and raises EvrepError.
     """
-    n = len(bbofds)
+    values = [float(v) for v in bbofds]
+    n = len(values)
     if n == 0:
         raise EvrepError("need at least one value")
-    ordered = sorted(float(v) for v in bbofds)
+    if any(math.isnan(v) for v in values):
+        raise EvrepError("a NaN value has no motion level")
+    ordered = sorted(values)
     # ceil(k*n/5) via integers; k/5 are the exact quantile fractions
     boundaries = tuple(ordered[(k * n + 4) // 5 - 1] for k in (1, 2, 3, 4))
     # 1 + the number of boundaries strictly below the value, so 1..5
-    return MotionLevels(
-        boundaries, tuple(1 + bisect.bisect_left(boundaries, float(v)) for v in bbofds)
-    )
+    return MotionLevels(boundaries, tuple(1 + bisect.bisect_left(boundaries, v) for v in values))

@@ -46,7 +46,7 @@ from .errors import EvrepError, InvalidParamError
 from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, WindowView, add_fired
 
 # Far-past timestamp of an empty slot (µs). Finite on purpose: numpy's log1p
-# takes a slow path on inf, and 1e30 µs already lies past any u64 t_max.
+# takes a slow path on inf, and 1e30 µs already lies past any t_max (< 2**63).
 _EMPTY = -1e30
 
 
@@ -81,30 +81,27 @@ class TafState:
     leaves, or None once it has reached FIRED_SHARE of the frame
     (model.add_fired): the render works on those cells only while the index
     is live, and on every slot after. events_read counts the events of every
-    window stepped or read as the open period.
+    window stepped or read as the open period. t_n is the end of the last
+    period stepped, the state's detection time: the next step's window
+    starts there, and no read may ask for an earlier time.
     """
 
     geometry: FrameGeometry
     queue_depth: int
     delta_tau_us: int
-    step_index: int
     mean_ts: np.ndarray
     fired: np.ndarray | None
+    t_n: int = 0
     events_read: int = 0
-
-    @property
-    def detection_time_us(self) -> int:
-        return self.step_index * self.delta_tau_us
 
 
 def taf_init(geometry: FrameGeometry, params: EncoderParams) -> TafState:
-    """Fresh state with every queue empty and the step counter at zero."""
+    """Fresh state at t_n = 0 with every queue empty."""
     k, h, w = params.queue_depth, geometry.height, geometry.width
     return TafState(
         geometry=geometry,
         queue_depth=k,
         delta_tau_us=params.delta_tau_us,
-        step_index=0,
         mean_ts=np.full((k, 2, h, w), _EMPTY, dtype=np.float64),
         fired=np.zeros(0, dtype=np.int64),
     )
@@ -147,16 +144,15 @@ def _push(state: TafState, active: np.ndarray, mu: np.ndarray) -> None:
 def taf_step(state: TafState, window: WindowView) -> TafState:
     """Advance the state by one period using the window's events.
 
-    The window must cover exactly [n*dt, (n+1)*dt) for the state's next step
-    n and end at its detection timestamp. Cells that fired get the period's
+    The window must cover exactly [t_n, t_n + dt) for the state's t_n and
+    end at its detection timestamp. Cells that fired get the period's
     mean elapse pushed as their newest entry (evicting the oldest when
     full); all other cells only age, which costs nothing here. Returns the
     same state object, updated in place. A window cut from a stream of
     another geometry raises EvrepError before the state is touched.
     """
-    dt = state.delta_tau_us
-    t_lo = state.step_index * dt
-    t_hi = t_lo + dt
+    t_lo = state.t_n
+    t_hi = t_lo + state.delta_tau_us
     if window.t_lo != t_lo or window.t_hi != t_hi or window.t_n != t_hi:
         raise EvrepError(
             f"expected window [{t_lo}, {t_hi}) at detection {t_hi}, "
@@ -170,7 +166,7 @@ def taf_step(state: TafState, window: WindowView) -> TafState:
         _push(state, *_window_mean_timestamps(window))
 
     state.events_read += len(window)
-    state.step_index += 1
+    state.t_n = t_hi
     return state
 
 
@@ -188,7 +184,7 @@ def taf_render(state: TafState, t_n: int | None = None) -> TensorCHW:
     render to 0 either way, so both paths give the same bits.
     """
     t_max_us = state.geometry.t_max_us
-    t_now = float(state.detection_time_us if t_n is None else t_n)
+    t_now = float(state.t_n if t_n is None else t_n)
     slots, fired = state.mean_ts.reshape(state.queue_depth, -1), state.fired
     # elapses stay float64 (timestamps need it); once scaled by 1e-4 the
     # argument is small enough that float32 log1p costs < 1e-7 of accuracy.
@@ -231,16 +227,12 @@ def temporal_active_focus(stream: EventStream, t_n: int, state: TafState) -> Ten
     """
     geo, delta_tau_us = state.geometry, state.delta_tau_us
     geo.check_stream(stream)
-    geo.check_detection_time(t_n)
-    if t_n < state.detection_time_us:
-        raise EvrepError(
-            f"detection timestamp {t_n} precedes the state's {state.detection_time_us}"
-        )
+    geo.check_detection_time(t_n, state.t_n)
 
-    while state.detection_time_us + delta_tau_us <= t_n:
-        t_hi = state.detection_time_us + delta_tau_us
-        taf_step(state, WindowView.from_stream(stream, t_hi - delta_tau_us, t_hi, t_hi))
-    t_lo = state.detection_time_us
+    while state.t_n + delta_tau_us <= t_n:
+        t_hi = state.t_n + delta_tau_us
+        taf_step(state, WindowView.from_stream(stream, state.t_n, t_hi, t_hi))
+    t_lo = state.t_n
     if t_n == t_lo:  # on the grid: no open window is built
         return taf_render(state)
     window = WindowView.from_stream(stream, t_lo, t_n, t_n)

@@ -169,7 +169,9 @@ def test_parameter_of_wrong_shape_rejected(build, arrays, message):
 @pytest.mark.parametrize("build,name,value", [
     (_stage, "bias", [[0.0], [np.nan]]),
     (_weights, "mlp_w2", [[1.0, np.inf], [0.0, 1.0]]),
-], ids=["stage-bias-nan", "mlp-w2-inf"])
+    # finite, but past float32's range: the cast gives inf, without a warning
+    (_stage, "scale", [[1e300], [1.0]]),
+], ids=["stage-bias-nan", "mlp-w2-inf", "stage-scale-1e300"])
 def test_non_finite_parameter_rejected(build, name, value):
     label = name if name.startswith("mlp") else f"stage {name}"
     with pytest.raises(InvalidParamError, match=f"^{label} must be finite$"):

@@ -183,6 +183,18 @@ class TestEncode:
                 want = sae_batch_oracle(stream, int(f.stem.split("_")[1]), 1e308)
                 assert same_bits(read_tensor(f), want), f.name
 
+    def test_inputs_of_one_stem_are_usage_error(self, one_second_stream, tmp_path, capsys):
+        other = tmp_path / "elsewhere"
+        other.mkdir()
+        (other / one_second_stream.name).write_bytes(one_second_stream.read_bytes())
+        code = _run("encode", "--rep", "count", "--events", str(one_second_stream),
+                    str(other / one_second_stream.name), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "evrep: error: input files must have distinct stems (outputs would collide)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_representation_is_usage_error(self, one_second_stream, tmp_path):
         code = _run(
             "encode", "--rep", "hologram", "--events", str(one_second_stream),
@@ -557,13 +569,20 @@ class TestBench:
         assert kernels == ["triangular"] * 4
 
 
+# Both cases hold the largest t_max a header may, 2**63 - 1: one on a 10 ms
+# grid, one on a 1 µs grid of 2**63 - 1 steps. Their ids name the headers of
+# 2**63 and 2**64 - 1 they held while a header's t_max could pass int64.
+_HUGE_GRIDS = pytest.mark.parametrize(
+    "t_max,delta_tau", [(2**63 - 1, 10_000), (2**63 - 1, 1)], ids=["t_max-2**63", "t_max-2**64-1"]
+)
+
+
 class TestHugeGrid:
     """A header's t_max alone sets the grid: a huge one neither builds it nor
     writes until the disk is full. Run only under _run_capped."""
 
     @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
-    @pytest.mark.parametrize("t_max,delta_tau", [(2**63, 10_000), (2**64 - 1, 1)],
-                             ids=["t_max-2**63", "t_max-2**64-1"])
+    @_HUGE_GRIDS
     def test_encode_refuses_and_bench_runs(self, rep, t_max, delta_tau, tmp_path):
         events = tmp_path / "huge.evs"
         events.write_bytes(struct.pack("<4sIHHQ", b"EVST", 1, 8, 6, t_max))
@@ -580,8 +599,7 @@ class TestHugeGrid:
         assert "steps: 5 (after 0 warm-up)" in bench.stdout
 
     @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
-    @pytest.mark.parametrize("t_max,delta_tau", [(2**63, 10_000), (2**64 - 1, 1)],
-                             ids=["t_max-2**63", "t_max-2**64-1"])
+    @_HUGE_GRIDS
     def test_bench_without_steps_refuses(self, rep, t_max, delta_tau, tmp_path):
         # its samples would outgrow any memory; it exits before the first step,
         # where without the rule it would run on until the timeout
@@ -705,6 +723,18 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert capsys.readouterr().err == "evrep: frame dimensions must be positive\n"
+
+    @pytest.mark.parametrize("t_max", [2**63, 2**64 - 1], ids=["2**63", "2**64-1"])
+    def test_header_past_int64_is_data_error(self, t_max, tmp_path, capsys):
+        # every time must fit int64, so t_max stops below 2**63
+        bad = tmp_path / "bad.evs"
+        bad.write_bytes(struct.pack("<4sIHHQ", b"EVST", 1, 8, 6, t_max))
+        out = tmp_path / "o"
+        for command in (["encode", "--out-dir", str(out)], ["bench"]):
+            code = _run(command[0], "--rep", "count", "--events", str(bad), *command[1:])
+            assert code == 2
+            assert capsys.readouterr() == ("", "evrep: t_max_us must lie in [1, 2**63)\n")
+        assert not out.exists()
 
 
 # flag values for the flag-value fuzz: integer sizes either small or at least
@@ -870,6 +900,56 @@ class TestLevels:
         )
         assert not out.exists()
 
+    def test_no_box_left_after_sanitization_is_data_error(self, tmp_path, capsys):
+        flow_dir, ann = self._write_inputs(tmp_path)
+        # one box outside the 32x24 frame, and two that overlap
+        ann.write_text(write_annotations_csv([Annotation(1000, 40, 1, 5, 5, 0),
+                                              Annotation(1000, 1, 1, 5, 5, 0),
+                                              Annotation(1000, 3, 3, 5, 5, 1)]))
+        out = tmp_path / "levels.csv"
+        code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: no annotations survived sanitization\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h,w,plane,message", [
+        (24, 32, np.nan, "flow planes must be finite"),
+        # a 0-wide frame clips every box away
+        (24, 0, 1.0, "no annotations survived sanitization"),
+    ], ids=["nan-plane", "zero-width"])
+    def test_unusable_flow_file_is_data_error(self, h, w, plane, message, tmp_path, capsys):
+        flow_dir, ann = self._write_inputs(tmp_path)
+        # written by hand: FlowField.from_planes refuses a non-finite plane
+        payload = np.full((2, h, w), plane, dtype="<f4").tobytes()
+        (flow_dir / "t1000.flow").write_bytes(struct.pack("<4sQII", b"FLOW", 1000, h, w) + payload)
+        out = tmp_path / "levels.csv"
+        code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"evrep: {message}\n"
+        assert not out.exists()
+
+    def test_annotation_at_the_last_int64_time(self, tmp_path, capsys):
+        # levels and eval --levels take the frame size alone, so no bound on
+        # the time is made up from the annotations
+        t = 2**63 - 1
+        flow_dir, ann = self._write_inputs(tmp_path)
+        u = np.full((24, 32), 3.0, dtype=np.float32)
+        write_flow(FlowField.from_planes(t, u, u * 0), flow_dir / "last.flow")
+        ann.write_text(write_annotations_csv([Annotation(t, 1, 1, 5, 5, 0)]))
+        levels = tmp_path / "levels.csv"
+        code = _run("levels", "--flows", str(flow_dir), "--annotations", str(ann),
+                    "--out", str(levels))
+        assert code == 0
+        assert levels.read_text().splitlines()[1:] == [f"{t},0,3.0,1"]
+        dets = tmp_path / "d.csv"
+        dets.write_text(write_detections_csv([Detection(t, 1, 1, 5, 5, 0, 0.9)]))
+        capsys.readouterr()
+        code = _run("eval", "--detections", str(dets), "--annotations", str(ann),
+                    "--levels", str(levels), "--width", "32", "--height", "24")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["overall mAP: 1.0000",
+                                                           "level 1 mAP: 1.0000"]
+
 
 class TestEval:
     def test_golden_fixture_scores_point_three(self, capsys):
@@ -944,6 +1024,36 @@ class TestEval:
         )
         assert code == 1
 
+    def test_zero_width_is_usage_error(self, tmp_path, capsys):
+        code = _run(
+            "eval",
+            "--detections", str(FIXTURES / "golden_eval" / "detections.csv"),
+            "--annotations", str(FIXTURES / "golden_eval" / "annotations.csv"),
+            "--levels", "whatever.csv", "--width", "0", "--height", "100",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "evrep: error: frame dimensions must be positive\n"
+
+    def test_kept_box_without_a_level_is_data_error(self, tmp_path, capsys):
+        anns = tmp_path / "a.csv"
+        anns.write_text(write_annotations_csv([Annotation(0, 0, 0, 10, 10, 0),
+                                               Annotation(0, 40, 40, 10, 10, 0)]))
+        levels = tmp_path / "levels.csv"
+        levels.write_text("t,box_index,bbofd,level\n0,0,0.5,1\n")
+        code = _run("eval", "--detections", str(FIXTURES / "golden_eval" / "detections.csv"),
+                    "--annotations", str(anns), "--levels", str(levels),
+                    "--width", "100", "--height", "100")
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: no level for annotation (0, 1)\n"
+
+    def test_non_finite_box_coordinate_is_data_error(self, tmp_path, capsys):
+        anns = tmp_path / "a.csv"
+        anns.write_text("t,x,y,w,h,class_id\n0,1,1,4,4,0\n5,nan,1,4,4,0\n")
+        code = _run("eval", "--detections", str(FIXTURES / "golden_eval" / "detections.csv"),
+                    "--annotations", str(anns))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: line 3: non-finite x 'nan'\n"
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "result.csv"
         code = _run(
@@ -959,6 +1069,14 @@ class TestEval:
 
 
 class TestAugmentCommand:
+    def test_tensor_of_another_version_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.evtn"
+        src.write_bytes(struct.pack("<4sIIIIB", b"EVTN", 2, 1, 1, 1, 0) + bytes(4))
+        code = _run("augment", "--input", str(src), "--output", str(tmp_path / "out.evtn"))
+        assert code == 2
+        assert capsys.readouterr().err == "evrep: unsupported tensor version 2\n"
+        assert not (tmp_path / "out.evtn").exists()
+
     def test_seeded_determinism(self, rng, tmp_path):
         src = tmp_path / "in.evtn"
         write_tensor(rng.random((2, 6, 6)).astype(np.float32), src)

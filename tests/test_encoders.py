@@ -34,15 +34,6 @@ class TestEventVolume:
         assert vol.shape == (10, small_geometry.height, small_geometry.width)
         assert not vol.any()
 
-    @pytest.mark.parametrize("kernel", ["rect", "triangular"])
-    def test_empty_window_past_int64(self, kernel):
-        # the window's start t_n - B*dt lies past int64, where no event can be
-        geo = FrameGeometry(8, 6, 2**64 - 1)
-        stream = EventStream.from_arrays(geo, [5], [1], [2], [1])
-        state = WindowState(geo, EncoderParams(kernel=kernel))
-        vol = event_volume(stream, 2**64 - 1, state)
-        assert vol.shape == (10, 6, 8) and not vol.any() and state.events_read == 0
-
     def test_rect_mass_equals_window_count(self, rng, small_geometry):
         for _ in range(30):
             stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 2000)))
@@ -447,17 +438,6 @@ class TestSaeDenseRender:
             tracemalloc.stop()
         # the float32 output, the bool plane, two int64 arrays per window event
         assert peak < 4 * cells + cells + 16 * window + 64 * 1024
-
-
-def test_reads_past_int64_count_every_event():
-    # np.searchsorted compares a t_n past int64 through float64, in which
-    # 2**63 - 50 and 2**63 + 5 are both 2**63
-    geo = FrameGeometry(8, 6, 2**64 - 1)
-    stream = EventStream.from_arrays(geo, [1, 2, 2**63 - 50], [0, 1, 2], [0, 3, 5], [0, 1, 1])
-    state = sae_init(geo, PARAMS)
-    surface_active_events(stream, 2**63 + 5, state)
-    assert state.events_read == 3
-    assert event_count_image(stream, 2**63 + 5, WindowState(geo, PARAMS)).sum() == 3
 
 
 @pytest.mark.parametrize("init,read", [

@@ -217,7 +217,7 @@ class TestChunkedEventReader:
     @pytest.mark.parametrize("before, after, message", [
         (2**32 - 1, 2**32, None),
         (2**32, 2**32 + 1, None),
-        (2**63 - 1, 2**63 + 5, "timestamp outside [0, t_max) at record 8192"),
+        (2**63 - 2, 2**63 + 5, "timestamp outside [0, t_max) at record 8192"),
         (2**63 + 5, 2**63 + 6, "timestamp outside [0, t_max) at record 8191"),
         # past int64 the timestamp wraps negative, so time order breaks next
         (2**63 + 5, 7, "non-monotonic timestamp at record 8192"),
@@ -229,7 +229,8 @@ class TestChunkedEventReader:
         t[_CHUNK_RECORDS - 1:_CHUNK_RECORDS + 1] = before, after
         if after >= before:
             t[_CHUNK_RECORDS + 1:] = after
-        data = _header(t_max=2**64 - 1) + b"".join(_record(int(v), 1, 2, 0) for v in t)
+        # the largest t_max a header may hold, so only a wrap is out of range
+        data = _header(t_max=2**63 - 1) + b"".join(_record(int(v), 1, 2, 0) for v in t)
         _assert_matches_oracle(data)
         if message is None:
             assert read_events_binary(data).t[_CHUNK_RECORDS] == after

@@ -44,6 +44,13 @@ class TestInvariants:
         with pytest.raises(InvalidParamError):
             FrameGeometry(10, 10, 0)
 
+    def test_t_max_fits_int64(self):
+        # every event and detection time lies in [0, t_max], so it fits int64
+        assert FrameGeometry(10, 10, 2**63 - 1).t_max_us == 2**63 - 1
+        for t_max in (0, -1, 2**63, 2**64 - 1):
+            with pytest.raises(InvalidParamError, match=r"^t_max_us must lie in \[1, 2\*\*63\)$"):
+                FrameGeometry(10, 10, t_max)
+
     def test_annotation_needs_positive_size(self):
         with pytest.raises(InvalidParamError):
             Annotation(0, 1.0, 1.0, 0.0, 5.0, 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evrep.errors import EvrepError
-from evrep.model import Annotation, FlowField, FrameGeometry
+from evrep.model import Annotation, FlowField
 from evrep.motion import (
     SanitizeReport,
     bbofd,
@@ -13,7 +13,7 @@ from evrep.motion import (
     sanitize_report,
 )
 
-GEO = FrameGeometry(100, 80, 1_000_000)
+SIZE = (100, 80)  # the sanitization frame: width, height
 
 
 def _field(u, v, t=0):
@@ -84,38 +84,38 @@ class TestSanitize:
             Annotation(0, 0.0, 0.0, 10.0, 10.0, 0),
             Annotation(0, 50.0, 50.0, 10.0, 10.0, 1),
         ]
-        assert list(sanitize_report(boxes, GEO).kept) == boxes
+        assert list(sanitize_report(boxes, *SIZE).kept) == boxes
 
     def test_identical_boxes_both_removed(self):
         boxes = [
             Annotation(0, 5.0, 5.0, 10.0, 10.0, 0),
             Annotation(0, 5.0, 5.0, 10.0, 10.0, 1),
         ]
-        assert list(sanitize_report(boxes, GEO).kept) == []
+        assert list(sanitize_report(boxes, *SIZE).kept) == []
 
     def test_overlap_requires_same_timestamp(self):
         boxes = [
             Annotation(0, 5.0, 5.0, 10.0, 10.0, 0),
             Annotation(1000, 5.0, 5.0, 10.0, 10.0, 1),
         ]
-        assert list(sanitize_report(boxes, GEO).kept) == boxes
+        assert list(sanitize_report(boxes, *SIZE).kept) == boxes
 
     def test_edge_touching_is_not_overlap(self):
         boxes = [
             Annotation(0, 0.0, 0.0, 10.0, 10.0, 0),
             Annotation(0, 10.0, 0.0, 10.0, 10.0, 1),
         ]
-        assert list(sanitize_report(boxes, GEO).kept) == boxes
+        assert list(sanitize_report(boxes, *SIZE).kept) == boxes
 
     def test_clip_to_right_edge(self):
         boxes = [Annotation(0, 95.0, 10.0, 20.0, 5.0, 0)]
-        (kept,) = list(sanitize_report(boxes, GEO).kept)
+        (kept,) = list(sanitize_report(boxes, *SIZE).kept)
         assert kept.x == 95.0
-        assert kept.w == GEO.width - 95.0
+        assert kept.w == SIZE[0] - 95.0
 
     def test_fully_outside_dropped(self):
         boxes = [Annotation(0, 200.0, 10.0, 5.0, 5.0, 0)]
-        assert list(sanitize_report(boxes, GEO).kept) == []
+        assert list(sanitize_report(boxes, *SIZE).kept) == []
 
     def test_idempotent(self, rng):
         boxes = [
@@ -129,8 +129,8 @@ class TestSanitize:
             )
             for _ in range(40)
         ]
-        once = list(sanitize_report(boxes, GEO).kept)
-        assert list(sanitize_report(once, GEO).kept) == once
+        once = list(sanitize_report(boxes, *SIZE).kept)
+        assert list(sanitize_report(once, *SIZE).kept) == once
 
     def test_report_tracks_indices_and_removals(self):
         boxes = [
@@ -138,7 +138,7 @@ class TestSanitize:
             Annotation(0, 5.0, 5.0, 10.0, 10.0, 1),   # overlaps 0
             Annotation(0, 50.0, 50.0, 10.0, 10.0, 2),
         ]
-        report = sanitize_report(boxes, GEO)
+        report = sanitize_report(boxes, *SIZE)
         assert report.kept_indices == (2,)
         assert len(report.removed_overlapping) == 2
 
@@ -146,12 +146,12 @@ class TestSanitize:
     def test_matches_pairwise_reference(self, rng):
         for case in range(300):
             boxes = [_random_box(rng) for _ in range(int(rng.integers(0, 25)))]
-            assert sanitize_report(boxes, GEO) == _sanitize_pairwise(boxes, GEO), case
+            assert sanitize_report(boxes, *SIZE) == _sanitize_pairwise(boxes, *SIZE), case
 
 
 def _random_box(rng) -> Annotation:
     """A box on a half-pixel lattice (so edges often touch) or at random
-    real coordinates, reaching up to 10 px past any side of GEO, at one of
+    real coordinates, reaching up to 10 px past any side of the SIZE frame, at one of
     three shared timestamps."""
     if rng.random() < 0.5:
         x, y = rng.integers(-20, 210) / 2, rng.integers(-20, 170) / 2
@@ -163,13 +163,13 @@ def _random_box(rng) -> Annotation:
                       int(rng.integers(0, 3)))
 
 
-def _sanitize_pairwise(boxes, geometry) -> SanitizeReport:
+def _sanitize_pairwise(boxes, width, height) -> SanitizeReport:
     """Reference sanitizer: clip each box, then compare every pair in turn."""
     clipped = []
     for i, b in enumerate(boxes):
         x0, y0 = max(b.x, 0.0), max(b.y, 0.0)
-        x1 = min(b.x + b.w, float(geometry.width))
-        y1 = min(b.y + b.h, float(geometry.height))
+        x1 = min(b.x + b.w, float(width))
+        y1 = min(b.y + b.h, float(height))
         if x1 - x0 > 0 and y1 - y0 > 0:
             clipped.append((i, Annotation(b.t, x0, y0, x1 - x0, y1 - y0, b.class_id)))
     drop = set()
@@ -210,3 +210,12 @@ class TestMotionLevels:
     def test_empty_input(self):
         with pytest.raises(EvrepError, match="^need at least one value$"):
             motion_levels([])
+
+    def test_nan_is_rejected_and_inf_orders(self):
+        # NaN has no place in the order the quantiles are taken from
+        with pytest.raises(EvrepError, match="^a NaN value has no motion level$"):
+            motion_levels([1.0, float("nan"), 3.0, 2.0, 5.0])
+        # +inf is a BBOFD a box can have, and the fastest
+        levels = motion_levels([1.0, np.inf, 3.0, 2.0, 5.0])
+        assert levels.boundaries == (1.0, 2.0, 3.0, 5.0)
+        assert levels.levels == (1, 5, 3, 2, 4)

@@ -28,7 +28,7 @@ def _run_incremental(stream, n_steps, queue_depth, dt=DT):
 def _slot_elapses(state, p, y, x):
     """Newest-first elapse list for one cell's filled slots (mean_ts >= 0)."""
     cell = state.mean_ts[:, p, y, x]
-    return [state.detection_time_us - ts for ts in cell[cell >= 0]]
+    return [state.t_n - ts for ts in cell[cell >= 0]]
 
 
 class TestTransform:
@@ -61,7 +61,7 @@ class TestInitAndRender:
         state = taf_init(sensor_geometry, PARAMS)
         assert state.mean_ts.shape == (4, 2, 240, 304)
         assert not (state.mean_ts >= 0).any()
-        assert state.step_index == 0
+        assert state.t_n == 0
 
     def test_fresh_state_renders_zero(self, sensor_geometry):
         state = taf_init(sensor_geometry, PARAMS)
@@ -125,8 +125,8 @@ class TestInitAndRender:
             stream = make_random_stream(rng, small_geometry, int(rng.integers(0, 400)))
             state = _run_incremental(stream, int(rng.integers(1, 60)), queue_depth=k)
             assert (state.mean_ts < 0).any()  # empty slots render too
-            for t_n in (None, state.detection_time_us + int(rng.integers(1, DT))):
-                t_now = float(state.detection_time_us if t_n is None else t_n)
+            for t_n in (None, state.t_n + int(rng.integers(1, DT))):
+                t_now = float(state.t_n if t_n is None else t_n)
                 scaled = np.clip(((t_now - state.mean_ts) * 1e-4).astype(np.float32), 0.0, None)
                 want = np.clip(
                     1.0 - np.log1p(scaled) / np.float32(np.log1p(t_max * 1e-4)), 0.0, 1.0
@@ -202,7 +202,7 @@ class TestStep:
         expected = f"stream geometry {wider} is not {small_geometry}"
         with pytest.raises(EvrepError, match=f"^{re.escape(expected)}$"):
             taf_step(state, window)
-        assert state.step_index == 1
+        assert state.t_n == DT
         assert np.array_equal(state.mean_ts, before)
 
     def test_queue_monotonicity_after_random_steps(self, rng, small_geometry):
@@ -290,7 +290,7 @@ class TestTemporalActiveFocus:
         stream = make_random_stream(rng, small_geometry, 2000)
         state = taf_init(small_geometry, PARAMS)
         temporal_active_focus(stream, 3 * DT + 4_321, state)
-        assert state.step_index == 3
+        assert state.t_n == 3 * DT
         assert np.array_equal(state.mean_ts, _run_incremental(stream, 3, 4).mean_ts)
 
     def test_time_before_the_state_is_out_of_order(self, rng, small_geometry):
