@@ -19,6 +19,14 @@ matching nothing anywhere count as false positives at every level.
 Frames do not compete for detections: under a nonzero tolerance one detection
 timestamp may be the nearest for several annotation frames, and each of its
 predictions is then matched in each of them and can be a true positive in each.
+
+The engine matches every frame at once. Frame by frame, it computes one IoU
+matrix and keeps only the candidate pairs: same class and IoU at or above
+the lowest threshold, since no other pair can match or excuse. So it holds
+one frame's matrix plus the kept pairs, never an array over every pair of
+every frame. The greedy loop then runs once per detection rank, not once per
+detection: step r matches the r-th ranked detection of every frame together,
+which is exact because frames share no ground-truth box.
 """
 
 from __future__ import annotations
@@ -149,28 +157,75 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=(iw > 0) & (ih > 0))
 
 
-def _match_frame(dets, det_cls, boxes, box_cls, keep, thr):
-    """Greedy match of one frame's detections for every evaluation and threshold.
+def _candidate_pairs(frames, det, det_cls, box_xywh, box_cls, thr0):
+    """(row, column, IoU) of every same-class pair with IoU at or above thr0,
+    ordered by row and then column: no other pair can match or excuse a
+    detection. One frame's IoU matrix is held at a time."""
+    rows, cols, ious = [], [], []
+    a = 0
+    for frame_cols, dets in frames:
+        b = a + len(dets)
+        if a < b:
+            frame_cols = np.asarray(frame_cols)
+            m = _iou_matrix(det[a:b, :4], box_xywh[frame_cols])
+            i, j = np.nonzero((det_cls[a:b, None] == box_cls[frame_cols]) & (m >= thr0))
+            rows.append(a + i)
+            cols.append(frame_cols[j])
+            ious.append(m[i, j])
+        a = b
+    if not rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(ious)
+
+
+def _match(frames, det, det_cls, box_xywh, box_cls, keep, thr):
+    """Greedy match of every frame's detections for every evaluation and threshold.
 
     In stable descending-score order each detection takes the unused kept
-    same-class box of highest IoU (the first on ties) if that IoU reaches the
-    threshold; ``used[E, T, G]`` advances every evaluation and threshold at
-    once. A detection left unmatched is excused where it hits a same-class
-    box the evaluation does not keep; a TP or unexcused FP is counted. Returns
-    (tp, counted) as (detections, evaluations, thresholds).
+    same-class box of highest IoU (the first column on ties) if that IoU
+    reaches the threshold. Only the candidate pairs take part. Step r of the
+    loop matches the r-th detection of every frame at once, so the loop runs
+    as often as the largest frame has detections. A detection left unmatched
+    is excused where it hits a same-class box the evaluation does not keep; a
+    TP or unexcused FP is counted. Returns (tp, counted) as (detections,
+    evaluations, thresholds).
     """
-    m = _iou_matrix(dets[:, :4], boxes)
-    same = det_cls[:, None] == box_cls
-    hit = same[:, None, :] & (m[:, None, :] >= thr[:, None])
-    excused = (~keep[None, :, None, :] & hit[:, None]).any(-1)
-    cand = np.where(keep[None] & same[:, None], m[:, None], -1.0)[:, :, None]
-    used = np.zeros((len(keep), thr.size, len(box_cls)), dtype=bool)
-    tp = np.zeros(excused.shape, dtype=bool)
-    columns = np.arange(len(box_cls))
-    for i in np.argsort(-dets[:, 4], kind="stable"):
-        vals = np.where(used, -1.0, cand[i])
-        tp[i] = ok = vals.max(-1) >= thr
-        used |= ok[..., None] & (vals.argmax(-1)[..., None] == columns)
+    tp = np.zeros((len(det), len(keep), thr.size), dtype=bool)
+    excused = np.zeros_like(tp)
+    row, col, val = _candidate_pairs(frames, det, det_cls, box_xywh, box_cls, thr[0])
+    if row.size:
+        # a detection unmatched in e at threshold k is excused by any pair it
+        # hits at k whose column e does not keep
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        hits = ~keep[:, col].T[:, :, None] & (val[:, None] >= thr)[:, None, :]
+        excused[row[first]] = np.logical_or.reduceat(hits, first)
+
+        # rank of each detection within its frame, in stable descending score
+        sizes = [len(dets) for _, dets in frames]
+        frame_of = np.repeat(np.arange(len(frames)), sizes)
+        rank = np.empty(len(det), dtype=np.int64)
+        rank[np.lexsort((-det[:, 4], frame_of))] = (
+            np.arange(len(det)) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        )
+        by_rank = np.argsort(rank[row], kind="stable")
+        row, col, val = row[by_rank], col[by_rank], val[by_rank]
+        steps = np.flatnonzero(np.diff(rank[row], prepend=-1, append=-1))
+
+        # frames never share a column, so one step advances the r-th detection
+        # of every frame at once, for every evaluation and threshold
+        used = np.zeros((len(keep), thr.size, len(box_cls)), dtype=bool)
+        for a, b in zip(steps, steps[1:]):
+            r, c, v = row[a:b], col[a:b], val[a:b]
+            seg = np.flatnonzero(np.diff(r, prepend=-1))
+            vals = np.where(used[:, :, c] | ~keep[:, None, c], -1.0, v)
+            best = np.maximum.reduceat(vals, seg, axis=-1)
+            ok = best >= thr[:, None]
+            tp[r[seg]] = ok.transpose(2, 0, 1)
+            # the first pair equal to its segment's maximum, as argmax picks
+            at = np.repeat(np.arange(seg.size), np.diff(seg, append=r.size))
+            pos = np.where(vals == best[..., at], np.arange(r.size), r.size)
+            e, k, s = np.nonzero(ok)
+            used[e, k, c[np.minimum.reduceat(pos, seg, axis=-1)[e, k, s]]] = True
     return tp, tp | ~excused
 
 
@@ -196,7 +251,9 @@ def _ap_tables(
 
     Columns are ``annotations`` then ``removed``; ``keep[e]`` marks evaluation
     e's ground truth among them, and the other columns excuse. By default
-    there is one evaluation, which keeps every annotation.
+    there is one evaluation, which keeps every annotation. Matching works on
+    the candidate pairs, found one frame's IoU matrix at a time, and its
+    greedy loop runs once per detection rank across all frames (``_match``).
     """
     boxes = [*annotations, *removed]
     keep = np.ones((1, len(boxes)), dtype=bool) if keep is None else keep
@@ -208,13 +265,7 @@ def _ap_tables(
     det = np.array([(d.x, d.y, d.w, d.h, d.score) for d in rows], dtype=np.float64).reshape(-1, 5)
     det_cls = np.array([d.class_id for d in rows], dtype=np.int64)
 
-    tp = np.zeros((len(rows), len(keep), thr.size), dtype=bool)
-    counted = np.zeros_like(tp)
-    bounds = np.cumsum([0] + [len(dets) for _, dets in frames])
-    for (cols, _), a, b in zip(frames, bounds, bounds[1:]):
-        tp[a:b], counted[a:b] = _match_frame(
-            det[a:b], det_cls[a:b], box_xywh[cols], box_cls[cols], keep[:, cols], thr
-        )
+    tp, counted = _match(frames, det, det_cls, box_xywh, box_cls, keep, thr)
 
     rank = np.argsort(-det[:, 4], kind="stable")
     tables = []

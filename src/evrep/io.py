@@ -48,6 +48,7 @@ CSV (one dialect, read by ``_rows`` and written by ``write_csv``)
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from pathlib import Path
@@ -251,7 +252,7 @@ def _parse_float(field: str, lineno: int, what: str) -> float:
         v = float(field)
     except ValueError:
         raise ParseError(lineno, f"bad {what} {field!r}") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ParseError(lineno, f"non-finite {what} {field!r}")
     return v
 

@@ -1077,6 +1077,18 @@ class TestAugmentCommand:
         assert capsys.readouterr().err == "evrep: unsupported tensor version 2\n"
         assert not (tmp_path / "out.evtn").exists()
 
+    def test_non_finite_tensor_is_data_error(self, tmp_path, capsys):
+        # written by hand: write_tensor refuses a non-finite tensor
+        src = tmp_path / "in.evtn"
+        nan = struct.pack("<f", float("nan"))
+        src.write_bytes(struct.pack("<4sIIIIB", b"EVTN", 1, 1, 1, 2, 0) + bytes(4) + nan)
+        dst = tmp_path / "out.evtn"
+        code = _run("augment", "--input", str(src), "--output", str(dst), "--seed", "3")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "evrep: tensor contains non-finite values\n")
+        assert not dst.exists()
+
     def test_seeded_determinism(self, rng, tmp_path):
         src = tmp_path / "in.evtn"
         write_tensor(rng.random((2, 6, 6)).astype(np.float32), src)

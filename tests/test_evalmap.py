@@ -191,6 +191,8 @@ class TestMapMetric:
             EvalConfig(iou_thresholds=(0.9, 0.5))
         with pytest.raises(InvalidParamError):
             EvalConfig(iou_thresholds=(0.0, 0.5))
+        with pytest.raises(InvalidParamError, match="^need at least one IoU threshold$"):
+            EvalConfig(iou_thresholds=())
 
 
 def _reference_ap(detections, annotations, class_id, thr):

@@ -97,12 +97,49 @@ def test_cases_cover_the_edge_cases():
         mapped = {f.dets[0].t for f in frames if f.dets}
         if any(d.t not in mapped for d in dets):
             seen.add("unmapped detection")
+        if len(mapped) < sum(1 for f in frames if f.dets):
+            seen.add("detection shared by two frames")
+        counts = [len(f.dets) for f in frames if f.dets]
+        if counts and max(counts) >= 3 * min(counts):
+            seen.add("frames of unequal detection counts")
         for f in frames:
+            at_t = [g for g in anns + removed if g.t == f.t]
             for d in f.dets:
                 values = [oracle.iou(d, g) for g in f.gts if g.class_id == d.class_id]
                 if any(v > 0 and values.count(v) > 1 for v in values):
                     seen.add("tied IoU")
+                lowest = cfg.iou_thresholds[0]
+                if all(oracle.iou(d, g) < lowest for g in at_t if g.class_id == d.class_id):
+                    seen.add("detection with no candidate pair")
     assert seen == {
         "several classes", "class missing from a level", "level with no GT", "tied scores",
         "removed box excuses", "nonzero tolerance", "empty frame", "unmapped detection", "tied IoU",
+        "detection shared by two frames", "frames of unequal detection counts",
+        "detection with no candidate pair",
     }
+
+
+def test_one_crowded_frame_among_sparse_ones():
+    """A frame of 40 detections beside frames of 0 or 1: the rank loop runs
+    40 steps, and from step 2 on only the crowded frame takes part."""
+    rng = np.random.default_rng(23)
+    anns, dets, levels = [], [], []
+    for t in range(0, 10_000, 1000):
+        for _ in range(12 if t == 0 else 2):
+            anns.append(Annotation(*_box(rng, t, int(rng.integers(0, 2)))))
+            levels.append(int(rng.integers(1, 6)))
+    for _ in range(40):
+        a = anns[int(rng.integers(12))]
+        x, y = a.x + int(rng.integers(-2, 3)), a.y + int(rng.integers(-2, 3))
+        dets.append(Detection(0, x, y, a.w, a.h, a.class_id, float(rng.choice((0.3, 0.5, 0.9)))))
+    for a in anns[12::2][::2]:
+        dets.append(Detection(a.t, a.x + 1, a.y, a.w, a.h, a.class_id, 0.5))
+    removed = [Annotation(*_box(rng, 0, 0)), Annotation(*_box(rng, 3000, 1))]
+    per_frame = [sum(d.t == t for d in dets) for t in range(0, 10_000, 1000)]
+    assert per_frame[0] == 40 and set(per_frame[1:]) == {0, 1}
+    cfg = EvalConfig()
+    want = oracle.map_by_level(dets, anns, levels, cfg, removed_boxes=removed)
+    got = map_by_level(dets, anns, levels, cfg, removed_boxes=removed)
+    assert got.per_level == want.per_level
+    assert got.overall == want.overall
+    assert map_metric(dets, anns, cfg) == oracle.map_metric(dets, anns, cfg)

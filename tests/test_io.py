@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evrep.errors import EvrepError, ParseError
+from evrep.errors import EvrepError, InvalidParamError, ParseError
 from evrep.io import (
     _CHUNK_RECORDS,
     read_annotations_csv,
@@ -397,6 +397,16 @@ class TestTensorFile:
         path.write_bytes(bytes(data))
         with pytest.raises(EvrepError, match="^dtype code 7$"):
             read_tensor(path)
+
+    @pytest.mark.parametrize("tensor, message", [
+        (np.zeros((2, 3), dtype=np.float32), r"^expected a \(C, H, W\) tensor, got shape \(2, 3\)$"),
+        (np.zeros((1, 2, 2), dtype=np.float64), "^expected float32 data, got float64$"),
+    ], ids=["2-d", "float64"])
+    def test_write_refuses_another_shape_or_dtype(self, tensor, message, tmp_path):
+        path = tmp_path / "t.evtn"
+        with pytest.raises(InvalidParamError, match=message):
+            write_tensor(tensor, path)
+        assert not path.exists()
 
 
 class TestBoxCsv:

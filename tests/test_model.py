@@ -8,6 +8,8 @@ from evrep.model import (
     Annotation,
     Detection,
     EncoderParams,
+    EventStream,
+    FlowField,
     FrameGeometry,
     WindowView,
 )
@@ -89,6 +91,14 @@ class TestInvariants:
         # the largest values inside every bound are accepted
         EncoderParams(bins=2**31 - 1, queue_depth=2**31 - 1, delta_tau_us=1)
         EncoderParams(bins=1, delta_tau_us=2**63 - 1, recent_events=1)
+
+    def test_event_columns_must_be_equally_long(self, small_geometry):
+        with pytest.raises(InvalidParamError, match="^event columns must be 1-D and equally long$"):
+            EventStream.from_arrays(small_geometry, [0, 1], [0, 1], [0, 1], [0])
+
+    def test_flow_planes_must_have_one_shape(self):
+        with pytest.raises(InvalidParamError, match="^u and v must be equal-shape 2-D planes$"):
+            FlowField.from_planes(0, np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_stream_arrays_are_read_only(self, rng, small_geometry):
         stream = make_random_stream(rng, small_geometry, 10)
