@@ -22,7 +22,9 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
+
+import numpy as np
 
 from .augment import AugmentConfig, augment
 from .encoders import WindowState, event_count_image, event_volume, sae_init, surface_active_events
@@ -61,11 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _load_stream(path: str) -> EventStream:
-    with open(path, "rb") as fh:
-        return read_events_binary(fh)
 
 
 def _config(build, **values):
@@ -114,14 +111,93 @@ def _detection_times(
     return annotation_times
 
 
-def _tensors(
-    stream: EventStream, rep: str, params: EncoderParams, times: Sequence[int]
-) -> Iterator[tuple[int, TensorCHW, int]]:
-    """The one loop from a stream to (t_n, tensor, events read so far), one
-    per detection time, through the representation's init and read.
+# The held span's first columns have room for this many events: 4.5 MB,
+# touched only as far as the span reaches (volume at B = 5 holds some
+# 100,000 Gen1-rate events). Allocated that large, they are mapped apart from
+# the heap, so the frame-sized temporaries each read frees at the heap's top
+# are reused, not trimmed and faulted in again: the volume reads on evbench's
+# seed-1 gen1_dense recording took 2,200 minor faults, as the whole-file
+# read's did, where columns grown from one refill's size took 3,700.
+_HELD_RECORDS = 1 << 18
 
-    TAF and SAE fold each step's new events into the state, so ``times`` must
-    ascend. The table is built at each call, so each read is looked up in this
+
+class _HeldEvents:
+    """The events of an .evs file that a state's next read can reach.
+
+    The file is read forward, one read_events_binary call per refill, into
+    four columns that hold the span [lo, hi). A refill appends after hi.
+    Before it does, the span moves to the columns' start once as many
+    events lie dropped before it as it holds, or when no room is left, and
+    into new columns of twice the span and the refill when the old would be
+    more than half full. So each event is copied once, amortized, the
+    columns are touched no further than about twice the span, and the
+    whole held span is never copied per step.
+    """
+
+    def __init__(self, source: BinaryIO, stop_us: int):
+        self.source = source
+        self.columns = [np.empty(0, dtype) for dtype in (np.int64, np.int32, np.int32, np.uint8)]
+        self.lo = self.hi = 0
+        self.last_t = -1  # the time of the last event decoded
+        part = self._read(stop_us)
+        self.geometry = part.geometry
+        self._append(part)
+
+    def _read(self, stop_us: int) -> EventStream:
+        # looked up in this module at each call: evbench/traced_cli.py wraps it here
+        part = read_events_binary(self.source, stop_us=stop_us)
+        # a forward read stops short of stop_us only at the end of the file
+        self.ended = len(part) == 0 or part.t[-1] < stop_us
+        return part
+
+    def _append(self, part: EventStream) -> None:
+        m, columns = len(part), self.columns
+        if not m:
+            return
+        self.last_t = int(part.t[-1])
+        held = self.hi - self.lo
+        if self.lo >= held or self.hi + m > len(columns[0]):
+            # moved within its columns, a span then starts past its own
+            # length, so the copy never overlaps itself
+            target = columns if 2 * (held + m) <= len(columns[0]) else [
+                np.empty(max(2 * (held + m), _HELD_RECORDS), c.dtype) for c in columns]
+            for new, old in zip(target, columns):
+                new[:held] = old[self.lo:self.hi]
+            self.columns, self.lo, self.hi = target, 0, held
+        for c, values in zip(self.columns, (part.t, part.x, part.y, part.p)):
+            c[self.hi:self.hi + m] = values
+        self.hi += m
+
+    def through(self, t_n: int) -> EventStream:
+        """The held span, once every event before t_n is in it."""
+        if not self.ended and self.last_t < t_n:
+            self._append(self._read(t_n))
+        return EventStream.from_arrays(self.geometry, *(c[self.lo:self.hi] for c in self.columns))
+
+    def drop_before(self, t_us: int) -> None:
+        self.lo += int(np.searchsorted(self.columns[0][self.lo:self.hi], t_us))
+
+    def drain(self) -> None:
+        """Read the rest of the file one chunk at a time and hold none of it,
+        so a defect after the last read still raises."""
+        while not self.ended:
+            self._read(0)
+
+
+def _tensors(
+    path: str, rep: str, params: EncoderParams, times: Sequence[int]
+) -> Iterator[tuple[int, TensorCHW, int]]:
+    """The one loop from an .evs file to (t_n, tensor, events read so far),
+    one per detection time, through the representation's init and read.
+
+    ``times`` must ascend: TAF and SAE fold each step's new events into the
+    state, and the file is read forward. Each read gets the span of events
+    _HeldEvents holds, refilled up to its t_n; after it, the events before
+    the state's reach_us are dropped. So an encode holds the events its next
+    read can reach, not the recording. After the last time the rest of the
+    file is read and checked, and a defect anywhere raises.
+
+    The table is built at each call, so each read is looked up in this
     module as the loop starts (TAF's window slice, step and render in
     evrep.taf at each step): evbench/traced_cli.py wraps them there, and a
     table built at import would keep the unwrapped reads.
@@ -132,9 +208,15 @@ def _tensors(
         "count": (WindowState, event_count_image),
         "sae": (sae_init, surface_active_events),
     }[rep]
-    state = init(stream.geometry, params)
-    for t_n in times:
-        yield t_n, read(stream, t_n, state), state.events_read
+    with open(path, "rb") as source:
+        held = _HeldEvents(source, times[0] if len(times) else 0)
+        state = init(held.geometry, params)
+        for t_n in times:
+            # the span is not kept past the read, so a refill that moves it
+            # frees the old columns
+            yield t_n, read(held.through(t_n), t_n, state), state.events_read
+            held.drop_before(state.reach_us)
+        held.drain()
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
@@ -156,9 +238,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     written: list[Path] = []
 
     def encode(path: str, times: Sequence[int]) -> None:
-        stream = _load_stream(path)
         checked = False
-        for t_n, tensor, _ in _tensors(stream, args.rep, params, times):
+        for t_n, tensor, _ in _tensors(path, args.rep, params, times):
             if not checked:  # a grid far past the last event would write until the disk is full
                 need, free = len(times) * tensor_file_size(tensor), shutil.disk_usage(out_dir).free
                 if need > free:
@@ -208,7 +289,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise EvrepError(f"{args.events}: {n_times - args.warmup} samples need {need} bytes, "
                          f"but the machine has {have} bytes")
 
-    tensors = _tensors(_load_stream(args.events), args.rep, params, times)
+    # each sample times one step of the loop, with the read of the events it needs
+    tensors = _tensors(args.events, args.rep, params, times)
     clock = time.perf_counter
     samples_us: list[float] = []
     events_processed = events_before = 0
@@ -220,6 +302,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             samples_us.append(elapsed)
             events_processed += events_read - events_before
         events_before = events_read
+    next(tensors, None)  # the loop reads and checks the rest of the file, untimed
     ordered, n = sorted(samples_us), len(samples_us)
     median_us = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
     # p95 is the nearest-rank percentile: the ceil(0.95 n)-th smallest sample

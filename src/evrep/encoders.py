@@ -8,8 +8,10 @@ Three encoders returning float32 (C, H, W) tensors:
 
 Each, like TAF, is an init (geometry, params) -> state and a read (stream,
 t_n, state) -> tensor. A state keeps its geometry and the checked params its
-read needs, and counts in events_read the events its reads slice; a stream
-of another geometry raises EvrepError before the state is touched. Volume
+read needs, counts in events_read the events its reads slice, and gives in
+reach_us the earliest event time its next read can slice, so a caller
+that reads the stream forward holds nothing older; a stream of another
+geometry raises EvrepError before the state is touched. Volume
 and count share WindowState, built by its constructor, and their tensors
 stay pure functions of (stream, t_n, params). SAE steps a running SaeState
 (sae_init): the latest timestamp per cell, into which each call folds only
@@ -40,11 +42,16 @@ from .model import EncoderParams, EventStream, FrameGeometry, TensorCHW, add_fir
 
 @dataclass
 class WindowState:
-    """The volume and count reads' state: geometry, params and events read so far."""
+    """The volume and count reads' state: geometry, params, events read so
+    far, and reach_us, the earliest event time the next read can slice (no
+    earlier event need be held): t_n - bins*delta_tau after a volume read,
+    and after a count read the time of the N-th most recent event before
+    t_n, or 0 while fewer than N came before it."""
 
     geometry: FrameGeometry
     params: EncoderParams
     events_read: int = 0
+    reach_us: int = 0
 
 
 def _accumulate(shape: tuple, cells: np.ndarray, mass: np.ndarray | None = None) -> TensorCHW:
@@ -77,6 +84,7 @@ def event_volume(stream: EventStream, t_n: int, state: WindowState) -> TensorCHW
     t_lo = t_n - bins * delta_tau_us
     i, j = stream.slice_range(t_lo, t_n)
     state.events_read += j - i
+    state.reach_us = t_lo
     since = stream.t[i:j] - t_lo  # offsets from t_lo
     cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
     # bin b's two channels start at flat index b * 2HW
@@ -103,6 +111,7 @@ def event_count_image(stream: EventStream, t_n: int, state: WindowState) -> Tens
     j = stream.count_before(t_n)
     i = max(0, j - state.params.recent_events)
     state.events_read += j - i
+    state.reach_us = int(stream.t[i]) if j - i == state.params.recent_events else 0
     cells = geo.cells(stream.x[i:j], stream.y[i:j], stream.p[i:j])
     return _accumulate((2, geo.height, geo.width), cells)
 
@@ -129,6 +138,11 @@ class SaeState:
     t_n: int = 0
     events_read: int = 0
     buffer: np.ndarray | None = None
+
+    @property
+    def reach_us(self) -> int:
+        """The earliest event time the next read can slice: its window starts at t_n."""
+        return self.t_n
 
 
 def sae_init(geometry: FrameGeometry, params: EncoderParams) -> SaeState:

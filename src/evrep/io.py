@@ -9,14 +9,19 @@ Event stream binary (.evs)
     records  t u64 | x u16 | y u16 | p u8 | reserved u8 (= 0)   [14 bytes each]
     T_max lies in [1, 2**63), FrameGeometry's bound, and each t in [0, T_max),
     so every time the reader hands back fits int64.
-    read_events_binary takes the file's bytes or a binary file open at its
-    start; bytes go through io.BytesIO, so one decode loop serves both. The
-    payload's size comes from the source, the int64/int32/int32/uint8
-    columns are allocated once (17 bytes per event, which the stream keeps),
-    and the records are decoded in chunks of _CHUNK_RECORDS through one
-    reused buffer, each chunk checked as it lands. A stream's peak is then
-    its columns plus one chunk, not the file's bytes plus whole-stream
-    copies and temporaries.
+    read_events_binary takes the file's bytes or a seekable binary file;
+    bytes go through io.BytesIO, so one decode loop serves both. The records
+    are decoded in chunks of _CHUNK_RECORDS through one reused buffer into
+    int64/int32/int32/uint8 columns (17 bytes per event, which the stream
+    keeps), each chunk checked as it lands. Without stop_us it reads the
+    whole file into columns allocated once, so its peak is those columns
+    plus one chunk. With stop_us it reads forward from the file's position,
+    whole chunks until one ends at or past stop_us: the encode loop
+    (cli._tensors) calls it once per refill and holds only the events a
+    state's next read can reach. Each call takes the geometry, its first
+    record's index and the timestamp before it from the file, and checks
+    the rest of the file before it raises, so every defect message is the
+    whole file's.
 
 Tensor file (.evtn)
     header   magic b"EVTN" | version u32 = 1 | C u32 | H u32 | W u32
@@ -90,25 +95,32 @@ _EVENT_DEFECTS = (
 # tensors alive, 65,536-record (896 KiB) chunks took `encode --rep volume`
 # on evbench's seed-1 mpx_sparse recording from 49 to 57 MB peak RSS.
 _CHUNK_RECORDS = 8192
+# A forward read (stop_us given) starts with columns for this many records,
+# and doubles them past it: four chunks hold a 10 ms step at Gen1's 2 M ev/s
+# (20,000 events), so such a call decodes without copying its columns.
+_FORWARD_RECORDS = 4 * _CHUNK_RECORDS
 
 
-def _find_defects(first: list, geometry: FrameGeometry, t, x, y, p, lo: int, hi: int,
-                  reserved=None) -> None:
-    """Set first[k], where it is still None, to the index of the first record
-    in [lo, hi) of the columns with defect k of _EVENT_DEFECTS. The monotonic
-    check compares record lo with record lo - 1, so it spans chunk edges."""
-    tc = t[lo:hi]
+def _find_defects(first: list, geometry: FrameGeometry, at: int, t, x, y, p,
+                  reserved=None, before=None) -> None:
+    """Set first[k], where it is still None, to the absolute index of the first
+    record with defect k of _EVENT_DEFECTS among the columns given, whose
+    first record is record at. before is the timestamp of record at - 1 (None
+    at record 0), so the monotonic check spans chunk and call edges."""
+    earlier = t[:-1] if before is None else np.concatenate(([before], t[:-1]))
+    skip = len(t) - len(earlier)  # 1 where the first record follows none
     masks = [
-        np.diff(t[max(lo - 1, 0):hi]) < 0,
-        (tc >= geometry.t_max_us) | (tc < 0),
-        (x[lo:hi] >= geometry.width) | (y[lo:hi] >= geometry.height),
-        p[lo:hi] > 1,
+        # a difference, as np.diff takes it: past int64 a wrapped time's wraps again
+        t[skip:] - earlier < 0,
+        (t >= geometry.t_max_us) | (t < 0),
+        (x >= geometry.width) | (y >= geometry.height),
+        p > 1,
     ]
     if reserved is not None:
         masks.append(reserved != 0)
     for k, mask in enumerate(masks):
         if first[k] is None and mask.any():
-            first[k] = int(mask.argmax()) + (max(lo, 1) if k == 0 else lo)
+            first[k] = int(mask.argmax()) + at + (skip if k == 0 else 0)
 
 
 def _raise_first_defect(first: list) -> None:
@@ -159,43 +171,79 @@ def read_events_geometry(path: str | Path) -> FrameGeometry:
         return _event_header(fh)
 
 
-def read_events_binary(source: bytes | BinaryIO) -> EventStream:
-    """Decode an event stream from the binary format described above.
+def read_events_binary(source: bytes | BinaryIO, stop_us: int | None = None) -> EventStream:
+    """Decode an event stream, or the next part of one, from the binary format
+    described above.
 
-    source is the file's bytes, or a seekable binary file open at its start.
-    The payload's size is taken from the source, the four columns are
-    allocated once, and the records are decoded _CHUNK_RECORDS at a time
-    through one reused buffer into their slice of the columns, each chunk
-    checked as it lands. So the read holds the 17 bytes per event the stream
-    keeps, plus one chunk. A file that ends short of the size taken from it
-    raises EvrepError. Every defect is reported by its absolute record index:
-    the first of its kind, and of the first kind in _EVENT_DEFECTS' order.
+    source is the file's bytes, or a seekable binary file. The geometry, the
+    absolute index of the first record to decode and the timestamp of the
+    record before it all come from the source and its position, so no state
+    is kept between calls: at the start of the file (or of its records) the
+    read begins at record 0, and after a forward call it begins where that
+    call stopped. With stop_us None every record from there to the end is
+    decoded into columns allocated once, so a whole-file read holds the 17
+    bytes per event the stream keeps, plus one chunk. With stop_us, whole
+    chunks are decoded, into columns with room for _FORWARD_RECORDS that
+    double when full, until one ends at or past stop_us (one chunk for
+    stop_us = 0), or the file ends, and none is decoded twice: the returned
+    stream then holds every event before stop_us that the call reached, and
+    the source is left at the first record not decoded.
+
+    Records are decoded _CHUNK_RECORDS at a time through one reused buffer,
+    each chunk checked as it lands. Once a chunk holds a defect, the rest of
+    the payload is still decoded and checked chunk by chunk, so every call
+    reports what a whole-file read would: the first record of the first kind
+    in _EVENT_DEFECTS' order, by its absolute index. A file that ends short
+    of the size taken from it raises EvrepError.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
+    at = source.tell()
+    source.seek(0)
     geometry = _event_header(source)
-    body, size = _payload_size(source), _EVENT_RECORD_DTYPE.itemsize
+    records_at, size = source.tell(), _EVENT_RECORD_DTYPE.itemsize
+    body = _payload_size(source)
     if body % size != 0:
         raise EvrepError(f"{body} payload bytes is not a multiple of {size}")
 
-    n = body // size
-    t = np.empty(n, dtype=np.int64)
-    x = np.empty(n, dtype=np.int32)
-    y = np.empty(n, dtype=np.int32)
-    p = np.empty(n, dtype=np.uint8)
+    lo = max(at - records_at, 0) // size  # the first record this call decodes
+    before = None
+    if lo:
+        source.seek(records_at + (lo - 1) * size)
+        before = int.from_bytes(source.read(8), "little")  # checked by the call that read it
+    source.seek(records_at + lo * size)
+    n = body // size - lo
+    capacity = n if stop_us is None else min(n, _FORWARD_RECORDS)
+    t = np.empty(capacity, dtype=np.int64)
+    x = np.empty(capacity, dtype=np.int32)
+    y = np.empty(capacity, dtype=np.int32)
+    p = np.empty(capacity, dtype=np.uint8)
     chunk = np.empty(min(n, _CHUNK_RECORDS), dtype=_EVENT_RECORD_DTYPE)
     first: list = [None] * len(_EVENT_DEFECTS)
-    for lo in range(0, n, _CHUNK_RECORDS):
-        hi = min(lo + _CHUNK_RECORDS, n)
-        records = chunk[: hi - lo]
+    kept = 0  # records decoded into the columns; past a defect, chunks only overwrite
+    for start in range(0, n, _CHUNK_RECORDS):
+        m = min(_CHUNK_RECORDS, n - start)
+        if kept + m > len(t):  # only a forward call's columns fill up
+            grown = max(2 * len(t), kept + m)
+            t, x, y, p = (np.concatenate([c[:kept], np.empty(grown - kept, c.dtype)])
+                          for c in (t, x, y, p))
+        records = chunk[:m]
         _fill(source, records)
-        t[lo:hi] = records["t"]  # a u64 past int64 wraps negative, and is caught
-        x[lo:hi] = records["x"]
-        y[lo:hi] = records["y"]
-        p[lo:hi] = records["p"]
-        _find_defects(first, geometry, t, x, y, p, lo, hi, records["reserved"])
+        into = slice(kept, kept + m)
+        t[into] = records["t"]  # a u64 past int64 wraps negative, and is caught
+        x[into] = records["x"]
+        y[into] = records["y"]
+        p[into] = records["p"]
+        _find_defects(first, geometry, lo + start, t[into], x[into], y[into], p[into],
+                      records["reserved"], before)
+        before = t[kept + m - 1]
+        if any(k is not None for k in first):
+            continue
+        kept += m
+        if stop_us is not None and before >= stop_us:
+            break
     _raise_first_defect(first)
-    return EventStream.from_arrays(geometry, t, x, y, p)
+    return EventStream.from_arrays(geometry, t[:kept], x[:kept], y[:kept], p[:kept])
 
 
 def write_events_binary(stream: EventStream) -> bytes:
@@ -277,7 +325,7 @@ def read_events_csv(text: str, geometry: FrameGeometry) -> EventStream:
         rows.append((t, x, y, pol))
     t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     first: list = [None] * len(_EVENT_DEFECTS)
-    _find_defects(first, geometry, t, x, y, p, 0, len(t))
+    _find_defects(first, geometry, 0, t, x, y, p)
     _raise_first_defect(first)
     return EventStream.from_arrays(geometry, t, x, y, p)
 

@@ -94,6 +94,12 @@ class TafState:
     t_n: int = 0
     events_read: int = 0
 
+    @property
+    def reach_us(self) -> int:
+        """The earliest event time the next read can slice: the next period,
+        or the open period an off-grid read re-reads, starts at t_n."""
+        return self.t_n
+
 
 def taf_init(geometry: FrameGeometry, params: EncoderParams) -> TafState:
     """Fresh state at t_n = 0 with every queue empty."""

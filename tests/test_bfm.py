@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -202,3 +203,18 @@ def test_malformed_manifest_is_one_line_evrep_error(edit, tmp_path):
     with pytest.raises(EvrepError, match=r"manifest\.json: malformed weight manifest \(") as exc:
         load_weights(tmp_path)
     assert type(exc.value) is EvrepError and len(str(exc.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    ("queue_depth", 0, InvalidParamError, "queue_depth must be >= 1"),
+    ("stages", (), EvrepError, "at least one folding stage is required"),
+], ids=["queue-depth-0", "no-stage"])
+def test_manifest_outside_the_weights_domain_is_rejected(field, value, error, message, tmp_path):
+    # well-formed JSON, so the manifest reader passes it on, and BfmWeights refuses it
+    save_weights(random_weights(4, seed=3), tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), field: value}))
+    with pytest.raises(error, match=f"^{message}$"):
+        load_weights(tmp_path)
+    with pytest.raises(error, match=f"^{message}$"):
+        dataclasses.replace(random_weights(4, seed=3), **{field: value})

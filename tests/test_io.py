@@ -1,3 +1,4 @@
+import io
 import re
 import struct
 import tempfile
@@ -32,7 +33,7 @@ from evrep.io import (
 )
 from evrep.model import Annotation, Detection, EventStream, FlowField, FrameGeometry
 
-from conftest import ShrinksAfterItsSize, make_random_stream, same_bits
+from conftest import CHUNK_EDGES, ShrinksAfterItsSize, chunked_records, make_random_stream, same_bits
 from evs_oracle import read_events_oracle
 
 
@@ -127,41 +128,13 @@ class TestEventsBinary:
             assert np.array_equal(getattr(stream, name), getattr(again, name))
 
 
-# A valid stream of more than three chunks, and single-record defects placed
-# within two records of a chunk edge: (kind, chunk edge, offset from it).
-_EDGES = 4
+# Single-record defects placed within two records of a chunk edge of
+# conftest.chunked_records' stream: (kind, chunk edge, offset from it).
 _DEFECT = st.tuples(
     st.sampled_from(["early", "late", "u64", "x", "y", "p", "reserved"]),
-    st.integers(0, _EDGES),
+    st.integers(0, CHUNK_EDGES),
     st.integers(-2, 2),
 )
-
-
-def _chunked_records(seed: int, extra: int, defects) -> bytes:
-    n = _EDGES * _CHUNK_RECORDS + extra
-    rng = np.random.default_rng(seed)
-    records = np.zeros(n, dtype=[("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"),
-                                 ("reserved", "u1")])
-    records["t"] = np.sort(rng.integers(0, 1_000_000, size=n))
-    records["x"] = rng.integers(0, 32, size=n)
-    records["y"] = rng.integers(0, 24, size=n)
-    records["p"] = rng.integers(0, 2, size=n)
-    for kind, edge, offset in defects:
-        i = min(max(edge * _CHUNK_RECORDS + offset, 0), n - 1)
-        r = records[i:i + 1]
-        if kind == "early":
-            r["t"] = r["t"] // 2
-        elif kind == "late":
-            r["t"] = 1_000_000 + int(r["t"][0])
-        elif kind == "u64":
-            r["t"] = 2**63 + 5
-        elif kind in ("x", "y"):
-            r[kind] = 32 if kind == "x" else 24
-        elif kind == "p":
-            r["p"] = 2 + int(r["p"][0])
-        else:
-            r["reserved"] = 1
-    return _header() + records.tobytes()
 
 
 def _read_both_sources(data: bytes):
@@ -212,7 +185,39 @@ class TestChunkedEventReader:
                                        ("late", 3, 2), ("early", 4, 0)])
     @example(seed=2, extra=1, defects=[("early", 1, 0), ("early", 1, -1), ("u64", 2, 0)])
     def test_same_columns_or_message_as_the_oracle(self, seed, extra, defects):
-        _assert_matches_oracle(_chunked_records(seed, extra, defects))
+        _assert_matches_oracle(chunked_records(seed, extra, defects))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, _CHUNK_RECORDS - 1),
+           defects=st.lists(_DEFECT, max_size=3),
+           stops=st.lists(st.integers(0, 1_100_000), max_size=6))
+    @example(seed=5, extra=100, defects=[("early", 2, 0)], stops=[300_000, 600_000])
+    # one past the last time of the first chunk (244,147 µs), so that chunk falls short
+    @example(seed=5, extra=100, defects=[], stops=[244_148])
+    # one call over all five chunks, past the room a forward call starts with
+    @example(seed=5, extra=100, defects=[], stops=[1_000_000])
+    def test_forward_reads_join_to_the_whole_file(self, seed, extra, defects, stops):
+        # each forward call holds every event before its stop_us, the calls
+        # join to the oracle's columns, and a call that raises gives the
+        # whole file's message
+        data = chunked_records(seed, extra, defects)
+        try:
+            expected = read_events_oracle(data)[1]
+        except EvrepError as exc:
+            expected = str(exc)
+        source, parts = io.BytesIO(data), []
+        try:
+            for stop in [*sorted(stops), None]:
+                part = read_events_binary(source, stop_us=stop)
+                at_end = source.tell() == len(data)
+                assert at_end or stop is not None and len(part) and part.t[-1] >= stop
+                parts.append((part.t, part.x, part.y, part.p))
+        except EvrepError as exc:
+            assert str(exc) == expected
+            return
+        assert not isinstance(expected, str), expected
+        for got, want in zip(zip(*parts), expected):
+            assert np.array_equal(np.concatenate(got), want)
 
     @pytest.mark.parametrize("before, after, message", [
         (2**32 - 1, 2**32, None),
