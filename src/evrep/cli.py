@@ -124,30 +124,28 @@ _HELD_RECORDS = 1 << 18
 class _HeldEvents:
     """The events of an .evs file that a state's next read can reach.
 
-    The file is read forward, one read_events_binary call per refill, into
-    four columns that hold the span [lo, hi). A refill appends after hi.
-    Before it does, the span moves to the columns' start once as many
-    events lie dropped before it as it holds, or when no room is left, and
-    into new columns of twice the span and the refill when the old would be
-    more than half full. So each event is copied once, amortized, the
-    columns are touched no further than about twice the span, and the
-    whole held span is never copied per step.
+    The file is read forward one chunk at a time (read_events_binary with
+    next_chunk) into four columns that hold the span [lo, hi); these are the
+    only event columns that grow. A chunk is appended after hi. Before it
+    is, the span moves to the columns' start once as many events lie
+    dropped before it as it holds, or when no room is left, and into new
+    columns of twice the span and the chunk when the old would be more than
+    half full. So each event is copied once, amortized, the columns are
+    touched no further than about twice the span, and the whole held span
+    is never copied per step.
     """
 
-    def __init__(self, source: BinaryIO, stop_us: int):
-        self.source = source
+    def __init__(self, source: BinaryIO, geometry: FrameGeometry):
+        self.source, self.geometry = source, geometry
         self.columns = [np.empty(0, dtype) for dtype in (np.int64, np.int32, np.int32, np.uint8)]
         self.lo = self.hi = 0
         self.last_t = -1  # the time of the last event decoded
-        part = self._read(stop_us)
-        self.geometry = part.geometry
-        self._append(part)
+        self.ended = False  # a call came back empty: the file is read
 
-    def _read(self, stop_us: int) -> EventStream:
+    def _read(self) -> EventStream:
         # looked up in this module at each call: evbench/traced_cli.py wraps it here
-        part = read_events_binary(self.source, stop_us=stop_us)
-        # a forward read stops short of stop_us only at the end of the file
-        self.ended = len(part) == 0 or part.t[-1] < stop_us
+        part = read_events_binary(self.source, next_chunk=True)
+        self.ended = len(part) == 0
         return part
 
     def _append(self, part: EventStream) -> None:
@@ -170,8 +168,8 @@ class _HeldEvents:
 
     def through(self, t_n: int) -> EventStream:
         """The held span, once every event before t_n is in it."""
-        if not self.ended and self.last_t < t_n:
-            self._append(self._read(t_n))
+        while not self.ended and self.last_t < t_n:
+            self._append(self._read())
         return EventStream.from_arrays(self.geometry, *(c[self.lo:self.hi] for c in self.columns))
 
     def drop_before(self, t_us: int) -> None:
@@ -181,7 +179,7 @@ class _HeldEvents:
         """Read the rest of the file one chunk at a time and hold none of it,
         so a defect after the last read still raises."""
         while not self.ended:
-            self._read(0)
+            self._read()
 
 
 def _tensors(
@@ -191,11 +189,13 @@ def _tensors(
     one per detection time, through the representation's init and read.
 
     ``times`` must ascend: TAF and SAE fold each step's new events into the
-    state, and the file is read forward. Each read gets the span of events
-    _HeldEvents holds, refilled up to its t_n; after it, the events before
-    the state's reach_us are dropped. So an encode holds the events its next
-    read can reach, not the recording. After the last time the rest of the
-    file is read and checked, and a defect anywhere raises.
+    state, and the file is read forward. The geometry comes from the
+    header. Each read gets the span of events _HeldEvents holds, refilled
+    one chunk at a time until it holds an event at or past t_n; after it,
+    the events before the state's reach_us are dropped. So an encode holds
+    the events its next read can reach, not the recording. After the last
+    time the rest of the file is read and checked, and a defect anywhere
+    raises.
 
     The table is built at each call, so each read is looked up in this
     module as the loop starts (TAF's window slice, step and render in
@@ -208,9 +208,10 @@ def _tensors(
         "count": (WindowState, event_count_image),
         "sae": (sae_init, surface_active_events),
     }[rep]
+    geometry = read_events_geometry(path)
+    state = init(geometry, params)
     with open(path, "rb") as source:
-        held = _HeldEvents(source, times[0] if len(times) else 0)
-        state = init(held.geometry, params)
+        held = _HeldEvents(source, geometry)
         for t_n in times:
             # the span is not kept past the read, so a refill that moves it
             # frees the old columns

@@ -13,15 +13,14 @@ Event stream binary (.evs)
     bytes go through io.BytesIO, so one decode loop serves both. The records
     are decoded in chunks of _CHUNK_RECORDS through one reused buffer into
     int64/int32/int32/uint8 columns (17 bytes per event, which the stream
-    keeps), each chunk checked as it lands. Without stop_us it reads the
-    whole file into columns allocated once, so its peak is those columns
-    plus one chunk. With stop_us it reads forward from the file's position,
-    whole chunks until one ends at or past stop_us: the encode loop
-    (cli._tensors) calls it once per refill and holds only the events a
-    state's next read can reach. Each call takes the geometry, its first
-    record's index and the timestamp before it from the file, and checks
-    the rest of the file before it raises, so every defect message is the
-    whole file's.
+    keeps), each chunk checked as it lands. By default it reads the whole
+    file into columns allocated once, so its peak is those columns plus one
+    chunk. With next_chunk it decodes only the next chunk from the file's
+    position, into one chunk's columns: the encode loop (cli._tensors)
+    calls it chunk after chunk and holds only the events a state's next
+    read can reach. Each call takes the geometry, its first record's index
+    and the timestamp before it from the file, and checks the rest of the
+    file before it raises, so every defect message is the whole file's.
 
 Tensor file (.evtn)
     header   magic b"EVTN" | version u32 = 1 | C u32 | H u32 | W u32
@@ -95,10 +94,6 @@ _EVENT_DEFECTS = (
 # tensors alive, 65,536-record (896 KiB) chunks took `encode --rep volume`
 # on evbench's seed-1 mpx_sparse recording from 49 to 57 MB peak RSS.
 _CHUNK_RECORDS = 8192
-# A forward read (stop_us given) starts with columns for this many records,
-# and doubles them past it: four chunks hold a 10 ms step at Gen1's 2 M ev/s
-# (20,000 events), so such a call decodes without copying its columns.
-_FORWARD_RECORDS = 4 * _CHUNK_RECORDS
 
 
 def _find_defects(first: list, geometry: FrameGeometry, at: int, t, x, y, p,
@@ -171,23 +166,21 @@ def read_events_geometry(path: str | Path) -> FrameGeometry:
         return _event_header(fh)
 
 
-def read_events_binary(source: bytes | BinaryIO, stop_us: int | None = None) -> EventStream:
-    """Decode an event stream, or the next part of one, from the binary format
+def read_events_binary(source: bytes | BinaryIO, next_chunk: bool = False) -> EventStream:
+    """Decode an event stream, or its next chunk, from the binary format
     described above.
 
     source is the file's bytes, or a seekable binary file. The geometry, the
     absolute index of the first record to decode and the timestamp of the
     record before it all come from the source and its position, so no state
     is kept between calls: at the start of the file (or of its records) the
-    read begins at record 0, and after a forward call it begins where that
-    call stopped. With stop_us None every record from there to the end is
-    decoded into columns allocated once, so a whole-file read holds the 17
-    bytes per event the stream keeps, plus one chunk. With stop_us, whole
-    chunks are decoded, into columns with room for _FORWARD_RECORDS that
-    double when full, until one ends at or past stop_us (one chunk for
-    stop_us = 0), or the file ends, and none is decoded twice: the returned
-    stream then holds every event before stop_us that the call reached, and
-    the source is left at the first record not decoded.
+    read begins at record 0, and after a next_chunk call it begins where that
+    call stopped. By default every record from there to the end is decoded
+    into columns allocated once, so a whole-file read holds the 17 bytes per
+    event the stream keeps, plus one chunk. With next_chunk only the next
+    _CHUNK_RECORDS records (fewer at the end of the file, none past it) are
+    decoded, into one chunk's columns, and the source is left at the first
+    record not decoded.
 
     Records are decoded _CHUNK_RECORDS at a time through one reused buffer,
     each chunk checked as it lands. Once a chunk holds a defect, the rest of
@@ -213,20 +206,16 @@ def read_events_binary(source: bytes | BinaryIO, stop_us: int | None = None) -> 
         before = int.from_bytes(source.read(8), "little")  # checked by the call that read it
     source.seek(records_at + lo * size)
     n = body // size - lo
-    capacity = n if stop_us is None else min(n, _FORWARD_RECORDS)
+    chunk = np.empty(min(n, _CHUNK_RECORDS), dtype=_EVENT_RECORD_DTYPE)
+    capacity = len(chunk) if next_chunk else n
     t = np.empty(capacity, dtype=np.int64)
     x = np.empty(capacity, dtype=np.int32)
     y = np.empty(capacity, dtype=np.int32)
     p = np.empty(capacity, dtype=np.uint8)
-    chunk = np.empty(min(n, _CHUNK_RECORDS), dtype=_EVENT_RECORD_DTYPE)
     first: list = [None] * len(_EVENT_DEFECTS)
     kept = 0  # records decoded into the columns; past a defect, chunks only overwrite
     for start in range(0, n, _CHUNK_RECORDS):
         m = min(_CHUNK_RECORDS, n - start)
-        if kept + m > len(t):  # only a forward call's columns fill up
-            grown = max(2 * len(t), kept + m)
-            t, x, y, p = (np.concatenate([c[:kept], np.empty(grown - kept, c.dtype)])
-                          for c in (t, x, y, p))
         records = chunk[:m]
         _fill(source, records)
         into = slice(kept, kept + m)
@@ -240,7 +229,7 @@ def read_events_binary(source: bytes | BinaryIO, stop_us: int | None = None) -> 
         if any(k is not None for k in first):
             continue
         kept += m
-        if stop_us is not None and before >= stop_us:
+        if next_chunk:
             break
     _raise_first_defect(first)
     return EventStream.from_arrays(geometry, t[:kept], x[:kept], y[:kept], p[:kept])

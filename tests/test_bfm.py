@@ -218,3 +218,41 @@ def test_manifest_outside_the_weights_domain_is_rejected(field, value, error, me
         load_weights(tmp_path)
     with pytest.raises(error, match=f"^{message}$"):
         dataclasses.replace(random_weights(4, seed=3), **{field: value})
+
+
+def test_unsupported_manifest_version_is_one_line_evrep_error(tmp_path):
+    # well-formed in every other field, so only the version check refuses it
+    save_weights(random_weights(4, seed=3), tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "version": 2}))
+    with pytest.raises(EvrepError, match="^unsupported weight manifest version 2$") as exc:
+        load_weights(tmp_path)
+    assert type(exc.value) is EvrepError
+
+
+def _fold(out_slots: int, pair) -> FoldStage:
+    # every (polarity, output slot) gets the weight pair given, at its own norm
+    weights = np.tile(np.asarray(pair, dtype=np.float32), (2, out_slots, 1))
+    return FoldStage(weights=weights, bias=np.zeros((2, out_slots)),
+                     scale=np.full((2, out_slots), np.linalg.norm(pair)))
+
+
+@pytest.mark.parametrize("queue_depth, stages, expected", [
+    # one slot pairs with the implicit zero: 3 * x[p, 0] + 4 * 0
+    (1, (_fold(1, (3, 4)),), [[3.0], [1.5]]),
+    # stage 0 folds (x0, x1) and (x2, zero), stage 1 adds its two slots:
+    # polarity 0 (1, 2, 3) gives 3 + 8 = 11 and 9, then 20;
+    # polarity 1 (0.5, 0.25, 2) gives 1.5 + 1 = 2.5 and 6, then 8.5
+    (3, (_fold(2, (3, 4)), _fold(1, (1, 1))), [[11.0], [2.5], [20.0], [8.5]]),
+], ids=["K=1", "K=3"])
+def test_odd_slot_pairs_with_a_zero_slot(queue_depth, stages, expected):
+    # slot values per polarity (slot 0 newest), read in channel order 2 * slot + p
+    slots = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 2.0]], dtype=np.float32)[:, :queue_depth]
+    x = slots.T.reshape(2 * queue_depth, 1, 1)
+    retained = 2 * len(stages)
+    weights = BfmWeights(queue_depth=queue_depth, stages=stages,
+                         mlp_w1=np.eye(retained), mlp_b1=np.zeros(retained),
+                         mlp_w2=np.eye(retained), mlp_b2=np.zeros(retained))
+    # the identity MLP passes the retained newest slots through, stage by stage
+    out = bfm_forward(x, weights)
+    assert np.array_equal(out[:, :, 0], np.array(expected, dtype=np.float32))

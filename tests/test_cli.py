@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import evrep.cli
 from evrep.cli import main
-from evrep.encoders import WindowState, event_volume
+from evrep.encoders import (
+    WindowState, event_count_image, event_volume, sae_init, surface_active_events,
+)
 from evrep.io import (
     read_events_binary,
     read_tensor,
@@ -28,9 +30,11 @@ from evrep.io import (
     write_tensor,
 )
 from evrep.model import Annotation, Detection, EncoderParams, EventStream, FlowField, FrameGeometry
+from evrep.taf import taf_init, temporal_active_focus
 
-from conftest import ShrinksAfterItsSize, make_random_stream, same_bits
+from conftest import ShrinksAfterItsSize, chunked_records, make_random_stream, same_bits
 from encoders_oracle import sae_batch_oracle
+from evs_oracle import read_events_oracle
 from taf_oracle import taf_batch_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -98,6 +102,24 @@ class TestEncode:
         )
         assert code == 0
         assert len(list(out.glob("*.evtn"))) == 3  # unique timestamps
+
+    @pytest.mark.parametrize("rep", ["taf", "volume", "count", "sae"])
+    def test_a_read_past_several_chunks_waits_for_all_of_them(self, rep, tmp_path):
+        # chunked_records' 1 s stream spans four chunk edges, so each read at
+        # 0.5 and 1 s needs two chunks or more refilled before it
+        data = chunked_records(7, 100, [])
+        path = tmp_path / "rec.evs"
+        path.write_bytes(data)
+        geometry, columns = read_events_oracle(data)
+        stream = EventStream.from_arrays(geometry, *columns)
+        params, times = EncoderParams(delta_tau_us=500_000), [500_000, 1_000_000]
+        init, read = {"taf": (taf_init, temporal_active_focus), "volume": (WindowState, event_volume),
+                      "count": (WindowState, event_count_image),
+                      "sae": (sae_init, surface_active_events)}[rep]
+        state = init(stream.geometry, params)
+        for t_n, tensor, events_read in evrep.cli._tensors(str(path), rep, params, times):
+            assert same_bits(tensor, read(stream, t_n, state))
+            assert events_read == state.events_read
 
     def test_annotation_time_past_t_max_writes_nothing(
         self, one_second_stream, tmp_path, capsys, monkeypatch

@@ -189,29 +189,37 @@ class TestChunkedEventReader:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, _CHUNK_RECORDS - 1),
-           defects=st.lists(_DEFECT, max_size=3),
-           stops=st.lists(st.integers(0, 1_100_000), max_size=6))
-    @example(seed=5, extra=100, defects=[("early", 2, 0)], stops=[300_000, 600_000])
-    # one past the last time of the first chunk (244,147 µs), so that chunk falls short
-    @example(seed=5, extra=100, defects=[], stops=[244_148])
-    # one call over all five chunks, past the room a forward call starts with
-    @example(seed=5, extra=100, defects=[], stops=[1_000_000])
-    def test_forward_reads_join_to_the_whole_file(self, seed, extra, defects, stops):
-        # each forward call holds every event before its stop_us, the calls
-        # join to the oracle's columns, and a call that raises gives the
+           defects=st.lists(_DEFECT, max_size=3))
+    # the first record of the third call goes back in time: the check takes
+    # the record before it from the file
+    @example(seed=5, extra=100, defects=[("early", 2, 0)])
+    # a partial last chunk, then the empty call
+    @example(seed=5, extra=100, defects=[])
+    # the file ends at a chunk edge, so the call after the last full chunk is empty
+    @example(seed=5, extra=0, defects=[])
+    def test_forward_reads_join_to_the_whole_file(self, seed, extra, defects):
+        # next_chunk calls, repeated until one comes back empty, each decode
+        # at most one chunk and leave the source at the first record they did
+        # not decode; they join to the oracle's columns, or a call raises the
         # whole file's message
         data = chunked_records(seed, extra, defects)
         try:
             expected = read_events_oracle(data)[1]
         except EvrepError as exc:
             expected = str(exc)
-        source, parts = io.BytesIO(data), []
+        records_at = len(data) - 14 * (CHUNK_EDGES * _CHUNK_RECORDS + extra)
+        source, parts, decoded = io.BytesIO(data), [], 0
         try:
-            for stop in [*sorted(stops), None]:
-                part = read_events_binary(source, stop_us=stop)
-                at_end = source.tell() == len(data)
-                assert at_end or stop is not None and len(part) and part.t[-1] >= stop
+            for _ in range(CHUNK_EDGES + 2):  # the chunks, a partial one and the empty call
+                part = read_events_binary(source, next_chunk=True)
+                assert len(part) <= _CHUNK_RECORDS
+                decoded += len(part)
+                assert source.tell() == records_at + 14 * decoded
+                if not len(part):
+                    break
                 parts.append((part.t, part.x, part.y, part.p))
+            else:
+                pytest.fail("no call came back empty")
         except EvrepError as exc:
             assert str(exc) == expected
             return
