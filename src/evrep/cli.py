@@ -31,6 +31,7 @@ from .encoders import WindowState, event_count_image, event_volume, sae_init, su
 from .errors import EvrepError, InvalidParamError
 from .evalmap import EvalConfig, map_by_level, map_metric
 from .io import (
+    _CHUNK_RECORDS,
     read_annotations_csv,
     read_detections_csv,
     read_events_binary,
@@ -124,52 +125,45 @@ _HELD_RECORDS = 1 << 18
 class _HeldEvents:
     """The events of an .evs file that a state's next read can reach.
 
-    The file is read forward one chunk at a time (read_events_binary with
-    next_chunk) into four columns that hold the span [lo, hi); these are the
-    only event columns that grow. A chunk is appended after hi. Before it
-    is, the span moves to the columns' start once as many events lie
-    dropped before it as it holds, or when no room is left, and into new
-    columns of twice the span and the chunk when the old would be more than
-    half full. So each event is copied once, amortized, the columns are
-    touched no further than about twice the span, and the whole held span
-    is never copied per step.
+    Four columns hold the span [lo, hi); they are the only event columns an
+    encode allocates. The file is read forward one chunk at a time, each
+    read_events_binary call decoding straight into the rows after hi, so each
+    event is written once as it is read. Before a read, the span moves to the
+    columns' start once as many events lie dropped before it as it holds, or
+    when no chunk's room is left after it, and into new columns of twice the
+    span and a chunk when the old would be more than half full. So each event
+    is copied once more, amortized, the columns are touched no further than
+    about twice the span, and the whole held span is never copied per step.
     """
 
     def __init__(self, source: BinaryIO, geometry: FrameGeometry):
         self.source, self.geometry = source, geometry
-        self.columns = [np.empty(0, dtype) for dtype in (np.int64, np.int32, np.int32, np.uint8)]
+        self.columns = [np.empty(0, dtype) for dtype in EventStream.DTYPES]
         self.lo = self.hi = 0
-        self.last_t = -1  # the time of the last event decoded
         self.ended = False  # a call came back empty: the file is read
 
-    def _read(self) -> EventStream:
-        # looked up in this module at each call: evbench/traced_cli.py wraps it here
-        part = read_events_binary(self.source, next_chunk=True)
-        self.ended = len(part) == 0
-        return part
-
-    def _append(self, part: EventStream) -> None:
-        m, columns = len(part), self.columns
-        if not m:
-            return
-        self.last_t = int(part.t[-1])
-        held = self.hi - self.lo
-        if self.lo >= held or self.hi + m > len(columns[0]):
+    def _read(self) -> None:
+        held, columns = self.hi - self.lo, self.columns
+        if self.lo >= held or self.hi + _CHUNK_RECORDS > len(columns[0]):
             # moved within its columns, a span then starts past its own
             # length, so the copy never overlaps itself
-            target = columns if 2 * (held + m) <= len(columns[0]) else [
-                np.empty(max(2 * (held + m), _HELD_RECORDS), c.dtype) for c in columns]
+            target = columns if 2 * (held + _CHUNK_RECORDS) <= len(columns[0]) else [
+                np.empty(max(2 * (held + _CHUNK_RECORDS), _HELD_RECORDS), c.dtype)
+                for c in columns]
             for new, old in zip(target, columns):
                 new[:held] = old[self.lo:self.hi]
             self.columns, self.lo, self.hi = target, 0, held
-        for c, values in zip(self.columns, (part.t, part.x, part.y, part.p)):
-            c[self.hi:self.hi + m] = values
+        # looked up in this module at each call: evbench/traced_cli.py wraps it here
+        m = len(read_events_binary(
+            self.source, into=[c[self.hi:self.hi + _CHUNK_RECORDS] for c in self.columns]))
         self.hi += m
+        self.ended = m == 0
 
     def through(self, t_n: int) -> EventStream:
         """The held span, once every event before t_n is in it."""
-        while not self.ended and self.last_t < t_n:
-            self._append(self._read())
+        # until the last event decoded is at or past t_n (hi is 0 before the first)
+        while not self.ended and (self.hi == 0 or self.columns[0][self.hi - 1] < t_n):
+            self._read()
         return EventStream.from_arrays(self.geometry, *(c[self.lo:self.hi] for c in self.columns))
 
     def drop_before(self, t_us: int) -> None:
@@ -179,6 +173,7 @@ class _HeldEvents:
         """Read the rest of the file one chunk at a time and hold none of it,
         so a defect after the last read still raises."""
         while not self.ended:
+            self.lo = self.hi
             self._read()
 
 
@@ -191,11 +186,11 @@ def _tensors(
     ``times`` must ascend: TAF and SAE fold each step's new events into the
     state, and the file is read forward. The geometry comes from the
     header. Each read gets the span of events _HeldEvents holds, refilled
-    one chunk at a time until it holds an event at or past t_n; after it,
-    the events before the state's reach_us are dropped. So an encode holds
-    the events its next read can reach, not the recording. After the last
-    time the rest of the file is read and checked, and a defect anywhere
-    raises.
+    one chunk at a time, each decoded straight into its columns, until it
+    holds an event at or past t_n; after the read, the events before the
+    state's reach_us are dropped. So an encode holds the events its next
+    read can reach, not the recording. After the last time the rest of the
+    file is read and checked, and a defect anywhere raises.
 
     The table is built at each call, so each read is looked up in this
     module as the loop starts (TAF's window slice, step and render in

@@ -12,15 +12,16 @@ Event stream binary (.evs)
     read_events_binary takes the file's bytes or a seekable binary file;
     bytes go through io.BytesIO, so one decode loop serves both. The records
     are decoded in chunks of _CHUNK_RECORDS through one reused buffer into
-    int64/int32/int32/uint8 columns (17 bytes per event, which the stream
-    keeps), each chunk checked as it lands. By default it reads the whole
-    file into columns allocated once, so its peak is those columns plus one
-    chunk. With next_chunk it decodes only the next chunk from the file's
-    position, into one chunk's columns: the encode loop (cli._tensors)
-    calls it chunk after chunk and holds only the events a state's next
-    read can reach. Each call takes the geometry, its first record's index
-    and the timestamp before it from the file, and checks the rest of the
-    file before it raises, so every defect message is the whole file's.
+    int64/int32/int32/uint8 columns (EventStream.DTYPES, 17 bytes per event),
+    each chunk checked as it lands, until the columns are full or the file
+    ends. A whole-file read allocates columns for every record once, so its
+    peak is those columns plus one chunk. A forward read decodes the next
+    chunk from the file's position straight into columns the caller passes
+    (into): the encode loop (cli._tensors) hands it the rows after the span
+    of events it holds, so each event is written once and no read allocates
+    event columns. Each call takes the geometry, its first record's index and
+    the timestamp before it from the file, and checks the rest of the file
+    before it raises, so every defect message is the whole file's.
 
 Tensor file (.evtn)
     header   magic b"EVTN" | version u32 = 1 | C u32 | H u32 | W u32
@@ -102,11 +103,14 @@ def _find_defects(first: list, geometry: FrameGeometry, at: int, t, x, y, p,
     record with defect k of _EVENT_DEFECTS among the columns given, whose
     first record is record at. before is the timestamp of record at - 1 (None
     at record 0), so the monotonic check spans chunk and call edges."""
-    earlier = t[:-1] if before is None else np.concatenate(([before], t[:-1]))
-    skip = len(t) - len(earlier)  # 1 where the first record follows none
+    # a difference, as np.diff takes it: past int64 a wrapped time's wraps
+    # again; the first record's is taken apart, so t is never copied
+    back = t[1:] - t[:-1] < 0
+    if before is not None:
+        back = np.concatenate((t[:1] - before < 0, back))
+    skip = len(t) - len(back)  # 1 where the first record follows none
     masks = [
-        # a difference, as np.diff takes it: past int64 a wrapped time's wraps again
-        t[skip:] - earlier < 0,
+        back,
         (t >= geometry.t_max_us) | (t < 0),
         (x >= geometry.width) | (y >= geometry.height),
         p > 1,
@@ -166,21 +170,22 @@ def read_events_geometry(path: str | Path) -> FrameGeometry:
         return _event_header(fh)
 
 
-def read_events_binary(source: bytes | BinaryIO, next_chunk: bool = False) -> EventStream:
-    """Decode an event stream, or its next chunk, from the binary format
-    described above.
+def read_events_binary(source: bytes | BinaryIO, into: Sequence | None = None) -> EventStream:
+    """Decode an event stream from the binary format described above, from
+    the source's position until the output columns are full or the file ends.
 
     source is the file's bytes, or a seekable binary file. The geometry, the
     absolute index of the first record to decode and the timestamp of the
     record before it all come from the source and its position, so no state
     is kept between calls: at the start of the file (or of its records) the
-    read begins at record 0, and after a next_chunk call it begins where that
-    call stopped. By default every record from there to the end is decoded
-    into columns allocated once, so a whole-file read holds the 17 bytes per
-    event the stream keeps, plus one chunk. With next_chunk only the next
-    _CHUNK_RECORDS records (fewer at the end of the file, none past it) are
-    decoded, into one chunk's columns, and the source is left at the first
-    record not decoded.
+    read begins at record 0, and after a forward read it begins where that
+    read stopped. into is the output columns: four writable arrays of
+    _CHUNK_RECORDS rows in EventStream.DTYPES. A forward read into them
+    decodes the next chunk (fewer records at the end of the file, none past
+    it), writes no other rows, and leaves the source at the first record not
+    decoded. Without into, columns for every remaining record are allocated
+    once, so a whole-file read holds the 17 bytes per event the stream
+    keeps, plus one chunk. The stream returned views the decoded rows.
 
     Records are decoded _CHUNK_RECORDS at a time through one reused buffer,
     each chunk checked as it lands. Once a chunk holds a defect, the rest of
@@ -207,29 +212,25 @@ def read_events_binary(source: bytes | BinaryIO, next_chunk: bool = False) -> Ev
     source.seek(records_at + lo * size)
     n = body // size - lo
     chunk = np.empty(min(n, _CHUNK_RECORDS), dtype=_EVENT_RECORD_DTYPE)
-    capacity = len(chunk) if next_chunk else n
-    t = np.empty(capacity, dtype=np.int64)
-    x = np.empty(capacity, dtype=np.int32)
-    y = np.empty(capacity, dtype=np.int32)
-    p = np.empty(capacity, dtype=np.uint8)
+    t, x, y, p = into if into is not None else [np.empty(n, d) for d in EventStream.DTYPES]
     first: list = [None] * len(_EVENT_DEFECTS)
     kept = 0  # records decoded into the columns; past a defect, chunks only overwrite
     for start in range(0, n, _CHUNK_RECORDS):
         m = min(_CHUNK_RECORDS, n - start)
         records = chunk[:m]
         _fill(source, records)
-        into = slice(kept, kept + m)
-        t[into] = records["t"]  # a u64 past int64 wraps negative, and is caught
-        x[into] = records["x"]
-        y[into] = records["y"]
-        p[into] = records["p"]
-        _find_defects(first, geometry, lo + start, t[into], x[into], y[into], p[into],
+        rows = slice(kept, kept + m)
+        t[rows] = records["t"]  # a u64 past int64 wraps negative, and is caught
+        x[rows] = records["x"]
+        y[rows] = records["y"]
+        p[rows] = records["p"]
+        _find_defects(first, geometry, lo + start, t[rows], x[rows], y[rows], p[rows],
                       records["reserved"], before)
         before = t[kept + m - 1]
         if any(k is not None for k in first):
             continue
         kept += m
-        if next_chunk:
+        if kept == len(t):
             break
     _raise_first_defect(first)
     return EventStream.from_arrays(geometry, t[:kept], x[:kept], y[:kept], p[:kept])

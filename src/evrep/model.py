@@ -87,10 +87,10 @@ class EventStream:
     """An ordered event sequence bound to a frame geometry.
 
     Events are stored column-wise as read-only numpy arrays so encoders can
-    vectorize over them; ``t`` is int64, ``x``/``y`` int32, ``p`` uint8.
-    Use :meth:`from_arrays` to construct; arrays that already have the right
-    dtype are adopted (and frozen) without a copy. Only the readers in ``io``
-    check the stream invariants.
+    vectorize over them; ``t`` is int64, ``x``/``y`` int32, ``p`` uint8
+    (``DTYPES``). Use :meth:`from_arrays` to construct; arrays that already
+    have the right dtype are adopted (and frozen) without a copy. Only the
+    readers in ``io`` check the stream invariants.
     """
 
     geometry: FrameGeometry
@@ -99,12 +99,11 @@ class EventStream:
     y: np.ndarray
     p: np.ndarray
 
+    DTYPES = (np.int64, np.int32, np.int32, np.uint8)  # the columns t, x, y, p
+
     @classmethod
     def from_arrays(cls, geometry: FrameGeometry, t, x, y, p) -> "EventStream":
-        t = np.ascontiguousarray(t, dtype=np.int64)
-        x = np.ascontiguousarray(x, dtype=np.int32)
-        y = np.ascontiguousarray(y, dtype=np.int32)
-        p = np.ascontiguousarray(p, dtype=np.uint8)
+        t, x, y, p = (np.ascontiguousarray(a, dtype=d) for a, d in zip((t, x, y, p), cls.DTYPES))
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise InvalidParamError("event columns must be 1-D and equally long")
         for a in (t, x, y, p):

@@ -21,7 +21,9 @@ from evrep.encoders import (
     WindowState, event_count_image, event_volume, sae_init, surface_active_events,
 )
 from evrep.io import (
+    _CHUNK_RECORDS,
     read_events_binary,
+    read_events_geometry,
     read_tensor,
     write_annotations_csv,
     write_detections_csv,
@@ -120,6 +122,18 @@ class TestEncode:
         for t_n, tensor, events_read in evrep.cli._tensors(str(path), rep, params, times):
             assert same_bits(tensor, read(stream, t_n, state))
             assert events_read == state.events_read
+
+    def test_the_drained_tail_is_not_held(self, tmp_path):
+        # a read in the first chunk, then the rest of the file (four chunks
+        # and a part) read and checked one chunk at a time, none of it kept
+        path = tmp_path / "rec.evs"
+        path.write_bytes(chunked_records(7, 100, []))
+        with open(path, "rb") as source:
+            held = evrep.cli._HeldEvents(source, read_events_geometry(path))
+            span = len(held.through(1))
+            assert 0 < span <= _CHUNK_RECORDS
+            held.drain()
+            assert held.ended and held.hi - held.lo <= span
 
     def test_annotation_time_past_t_max_writes_nothing(
         self, one_second_stream, tmp_path, capsys, monkeypatch
@@ -1133,3 +1147,12 @@ class TestAugmentCommand:
         )
         assert code == 0
         assert np.array_equal(read_tensor(dst), tensor)
+
+
+def test_the_cli_does_not_import_bfm():
+    # no command reaches the BFM head, so starting the CLI does not load it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, evrep.cli; print('evrep.bfm' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout == "False\n"

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from evrep.io import write_annotations_csv, write_detections_csv, write_events_binary, write_flow
+from evrep.io import (
+    _CHUNK_RECORDS, write_annotations_csv, write_detections_csv, write_events_binary, write_flow,
+)
 from evrep.model import Annotation, Detection, FlowField, FrameGeometry
 
 from conftest import make_random_stream
@@ -31,12 +33,17 @@ EXPECTED = {
 }
 
 
-def _traced(tmp_path: Path, argv: list[str]) -> set[str]:
+def _span_names(tmp_path: Path, argv: list[str]) -> list[str]:
+    """The name of each span the traced command recorded, in order."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(ROOT / "evbench" / "traced_cli.py"), str(spans), *argv],
                    env=env, check=True, capture_output=True)
-    return {span[0] for span in json.loads(spans.read_text())["spans"]}
+    return [span[0] for span in json.loads(spans.read_text())["spans"]]
+
+
+def _traced(tmp_path: Path, argv: list[str]) -> set[str]:
+    return set(_span_names(tmp_path, argv))
 
 
 def test_traced_cli_records_every_span_per_layer_reads(rng, tmp_path):
@@ -66,3 +73,15 @@ def test_traced_cli_records_every_span_per_layer_reads(rng, tmp_path):
                                       "--levels", str(levels), "--width", "16", "--height", "12"])
     for op, names in EXPECTED.items():
         assert names <= seen[op], (op, names - seen[op])
+
+
+def test_one_read_events_span_per_reader_call(rng, tmp_path):
+    # io.read_events is a median over the reader's calls: one per chunk the
+    # encode loop reads, then the empty call that finds the end of the file
+    n = 2 * _CHUNK_RECORDS + 100
+    events = tmp_path / "rec.evs"
+    events.write_bytes(write_events_binary(
+        make_random_stream(rng, FrameGeometry(16, 12, 200_000), n)))
+    names = _span_names(tmp_path, ["encode", "--rep", "count", "--events", str(events),
+                                   "--out-dir", str(tmp_path / "out")])
+    assert names.count("io.read_events") == -(-n // _CHUNK_RECORDS) + 1 == 4

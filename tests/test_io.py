@@ -198,7 +198,7 @@ class TestChunkedEventReader:
     # the file ends at a chunk edge, so the call after the last full chunk is empty
     @example(seed=5, extra=0, defects=[])
     def test_forward_reads_join_to_the_whole_file(self, seed, extra, defects):
-        # next_chunk calls, repeated until one comes back empty, each decode
+        # forward calls, repeated until one comes back empty, each decode
         # at most one chunk and leave the source at the first record they did
         # not decode; they join to the oracle's columns, or a call raises the
         # whole file's message
@@ -211,7 +211,8 @@ class TestChunkedEventReader:
         source, parts, decoded = io.BytesIO(data), [], 0
         try:
             for _ in range(CHUNK_EDGES + 2):  # the chunks, a partial one and the empty call
-                part = read_events_binary(source, next_chunk=True)
+                part = read_events_binary(
+                    source, into=[np.empty(_CHUNK_RECORDS, d) for d in EventStream.DTYPES])
                 assert len(part) <= _CHUNK_RECORDS
                 decoded += len(part)
                 assert source.tell() == records_at + 14 * decoded
@@ -226,6 +227,49 @@ class TestChunkedEventReader:
         assert not isinstance(expected, str), expected
         for got, want in zip(zip(*parts), expected):
             assert np.array_equal(np.concatenate(got), want)
+
+    # a defect in the chunk read, then the scan of the rest of the file
+    @pytest.mark.parametrize("defects", [[], [("late", 1, 3), ("early", 3, 2)]])
+    def test_a_forward_read_writes_only_the_rows_it_is_given(self, defects):
+        # the second chunk, read into a slice of larger columns as
+        # cli._HeldEvents passes it: the rows around the slice keep their
+        # sentinels
+        data = chunked_records(7, 100, defects)
+        source = io.BytesIO(data)
+        read_events_binary(source, into=[np.empty(_CHUNK_RECORDS, d) for d in EventStream.DTYPES])
+        columns = [np.full(3 * _CHUNK_RECORDS, 0x5A, d) for d in EventStream.DTYPES]
+        rows = slice(_CHUNK_RECORDS - 5, 2 * _CHUNK_RECORDS - 5)
+        try:
+            part = read_events_binary(source, into=[c[rows] for c in columns])
+        except EvrepError as exc:
+            with pytest.raises(EvrepError, match=f"^{re.escape(str(exc))}$"):
+                read_events_oracle(data)  # the whole file's message
+        else:
+            assert not defects
+            records_at = len(data) - 14 * (CHUNK_EDGES * _CHUNK_RECORDS + 100)
+            assert source.tell() == records_at + 14 * 2 * _CHUNK_RECORDS
+            second = slice(_CHUNK_RECORDS, 2 * _CHUNK_RECORDS)
+            for got, c, want in zip((part.t, part.x, part.y, part.p), columns,
+                                    read_events_oracle(data)[1]):
+                assert np.shares_memory(got, c[rows]) and len(got) == _CHUNK_RECORDS
+                assert np.array_equal(c[rows], want[second])
+        for c in columns:
+            assert (c[:rows.start] == 0x5A).all() and (c[rows.stop:] == 0x5A).all()
+
+    def test_a_forward_read_allocates_no_event_columns(self):
+        source = io.BytesIO(chunked_records(8, 0, []))
+        into = [np.empty(_CHUNK_RECORDS, d) for d in EventStream.DTYPES]
+        read_events_binary(source, into=into)
+        tracemalloc.start()
+        try:
+            part = read_events_binary(source, into=into)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(part) == _CHUNK_RECORDS
+        # its 112 KiB record buffer and its checks' temporaries, which stay
+        # below the 136 KiB of columns a chunk's events take
+        assert peak < 14 * _CHUNK_RECORDS + 17 * _CHUNK_RECORDS
 
     @pytest.mark.parametrize("before, after, message", [
         (2**32 - 1, 2**32, None),
